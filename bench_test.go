@@ -352,9 +352,9 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkReplay8192Ranks measures the discrete-event replay engine on the
-// paper's largest configuration (8192 ranks of UH3D's event trace).
-func BenchmarkReplay8192Ranks(b *testing.B) {
+// uh3d8192 returns UH3D's event trace at the paper's largest
+// configuration (8192 ranks) and the bluewaters network.
+func uh3d8192(b *testing.B) (*mpi.Program, psins.Network) {
 	app, err := tracex.LoadApp("uh3d")
 	if err != nil {
 		b.Fatal(err)
@@ -368,6 +368,32 @@ func BenchmarkReplay8192Ranks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return prog, net
+}
+
+// BenchmarkCompilePlan8192Ranks measures compiling UH3D's 8192-rank event
+// trace into a replay plan: validation, slot matching and flattening, paid
+// once per (app, cores) by a warm engine.
+func BenchmarkCompilePlan8192Ranks(b *testing.B) {
+	prog, _ := uh3d8192(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := psins.Compile(prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplay8192Ranks measures the discrete-event replay engine on the
+// paper's largest configuration (8192 ranks of UH3D's event trace),
+// replaying one compiled plan as a warm prediction does.
+func BenchmarkReplay8192Ranks(b *testing.B) {
+	prog, net := uh3d8192(b)
+	plan, err := psins.Compile(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cost := func(rank int, blockID uint64, share float64) (float64, error) {
 		return 0.001 * share, nil
 	}
@@ -375,9 +401,11 @@ func BenchmarkReplay8192Ranks(b *testing.B) {
 	for _, evs := range prog.Ranks {
 		events += len(evs)
 	}
+	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := psins.Replay(prog, net, cost); err != nil {
+		if _, err := plan.Replay(ctx, net, cost, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

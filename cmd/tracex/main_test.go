@@ -256,6 +256,10 @@ func TestCmdStatsWrapper(t *testing.T) {
 	if !strings.Contains(text, reuseLine) {
 		t.Errorf("stats output missing reuse line %q:\n%s", reuseLine, text)
 	}
+	planLine := fmt.Sprintf("plans:      %d compiled, %d cache hits, %d evicted", st.PlanBuilds, st.PlanHits, st.PlanEvictions)
+	if !strings.Contains(text, planLine) {
+		t.Errorf("stats output missing plan line %q:\n%s", planLine, text)
+	}
 
 	// Validation.
 	if err := cmdStats(bg, eng, nil); err == nil {

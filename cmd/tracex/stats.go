@@ -42,6 +42,8 @@ func printStats(w io.Writer, eng *tracex.Engine) {
 		st.Collections, st.CollectionHits, st.SignatureEvictions)
 	fmt.Fprintf(w, "reuse:      %d profiles recorded, %d memo hits\n",
 		st.ReuseCollections, st.ReuseHits)
+	fmt.Fprintf(w, "plans:      %d compiled, %d cache hits, %d evicted\n",
+		st.PlanBuilds, st.PlanHits, st.PlanEvictions)
 	fmt.Fprintf(w, "work:       %d predictions, %d studies; pool %d/%d slots in use\n",
 		st.Predictions, st.Studies, st.PoolInFlight, st.PoolCapacity)
 

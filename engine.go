@@ -58,6 +58,7 @@ type Engine struct {
 	profiles    *memo.Cache[string, *Profile]
 	sigs        *memo.Cache[sigKey, *Signature]
 	reuse       *memo.Cache[reuseKey, *ReuseSignature]
+	plans       *memo.Cache[planKey, *psins.Plan]
 	disk        *store.Store
 	remote      RemoteTier
 	reg         *obs.Registry
@@ -88,6 +89,14 @@ type reuseKey struct {
 	app   string
 	cores int
 	opt   CollectOptions
+}
+
+// planKey identifies one compiled replay plan: an application's event
+// trace depends only on the application and its core count, the same
+// identity sigKey starts with.
+type planKey struct {
+	app   string
+	cores int
 }
 
 // reuseOpt normalizes options to the reuse profile's identity.
@@ -243,6 +252,11 @@ type EngineStats struct {
 	// CollectionHits counts collection requests served from memory;
 	// SignatureEvictions counts cached signatures discarded by LRU pressure.
 	Collections, CollectionHits, SignatureEvictions uint64
+	// PlanBuilds counts replay plans compiled (application event trace
+	// built, validated and compiled); PlanHits counts plan requests served
+	// from the in-memory cache; PlanEvictions counts cached plans discarded
+	// by LRU pressure.
+	PlanBuilds, PlanHits, PlanEvictions uint64
 	// ReuseCollections counts reuse-distance profiles actually recorded;
 	// ReuseHits counts reuse-profile requests served from the in-memory
 	// cache without recording (disk warm-starts count as collections here
@@ -285,6 +299,8 @@ func (e *Engine) Stats() EngineStats {
 	st.CollectionHits, st.Collections = e.sigs.Stats()
 	st.SignatureEvictions = e.sigs.Evictions()
 	st.ReuseHits, st.ReuseCollections = e.reuse.Stats()
+	st.PlanHits, st.PlanBuilds = e.plans.Stats()
+	st.PlanEvictions = e.plans.Evictions()
 	st.StoreHits = e.reg.Counter("store.hits").Value()
 	st.StoreMisses = e.reg.Counter("store.misses").Value()
 	st.StorePuts = e.reg.Counter("store.puts").Value()
@@ -372,10 +388,11 @@ func WithParallelism(n int) EngineOption {
 	}
 }
 
-// WithCacheSize sets how many machine profiles and application signatures
-// the engine retains (each in its own LRU cache). Zero disables memoization
-// — every request simulates — while still deduplicating identical in-flight
-// work; negative means unbounded. The default is 64.
+// WithCacheSize sets how many machine profiles, application signatures
+// and compiled replay plans the engine retains (each in its own LRU
+// cache). Zero disables memoization — every request simulates — while
+// still deduplicating identical in-flight work; negative means unbounded.
+// The default is 64.
 func WithCacheSize(n int) EngineOption {
 	return func(c *engineConfig) { c.cacheSize = n }
 }
@@ -480,6 +497,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		profiles:    memo.New[string, *Profile](cfg.cacheSize),
 		sigs:        memo.New[sigKey, *Signature](cfg.cacheSize),
 		reuse:       memo.New[reuseKey, *ReuseSignature](cfg.cacheSize),
+		plans:       memo.New[planKey, *psins.Plan](cfg.cacheSize),
 		remote:      cfg.remote,
 		reg:         cfg.registry,
 		predictions: cfg.registry.Counter("engine.predictions"),
@@ -516,6 +534,9 @@ func NewEngine(opts ...EngineOption) *Engine {
 	e.reg.GaugeFunc("engine.cache.reuse.hits", func() float64 { h, _ := e.reuse.Stats(); return float64(h) })
 	e.reg.GaugeFunc("engine.cache.reuse.misses", func() float64 { _, m := e.reuse.Stats(); return float64(m) })
 	e.reg.GaugeFunc("engine.cache.reuse.evictions", func() float64 { return float64(e.reuse.Evictions()) })
+	e.reg.GaugeFunc("engine.cache.plan.hits", func() float64 { h, _ := e.plans.Stats(); return float64(h) })
+	e.reg.GaugeFunc("engine.cache.plan.misses", func() float64 { _, m := e.plans.Stats(); return float64(m) })
+	e.reg.GaugeFunc("engine.cache.plan.evictions", func() float64 { return float64(e.plans.Evictions()) })
 	return e
 }
 
@@ -843,7 +864,7 @@ func (e *Engine) Predict(ctx context.Context, req PredictRequest) (*Prediction, 
 			return nil, err
 		}
 	}
-	pred, err := predict(ctx, req.Signature, prof, req.App, predictDetail{
+	pred, err := e.predict(ctx, req.Signature, prof, req.App, predictDetail{
 		withReplay:   req.WithReplay,
 		withTimeline: req.WithTimeline,
 		intervals:    req.Intervals,
@@ -893,7 +914,21 @@ func (e *Engine) Measure(ctx context.Context, app *App, cores int, target Machin
 	ctx = e.obsCtx(ctx)
 	sp := e.reg.StartSpan("engine.measure", fmt.Sprintf("%s@%d", appName(app), cores))
 	defer sp.End()
-	return measure(ctx, e.collector, app, cores, target, opt)
+	return e.measure(ctx, app, cores, target, opt)
+}
+
+// plan returns the compiled replay plan of app's event trace at cores,
+// memoized by (app name, cores): a warm prediction or measurement neither
+// rebuilds nor revalidates the program.
+func (e *Engine) plan(ctx context.Context, app *App, cores int) (*psins.Plan, error) {
+	p, _, err := e.plans.Do(ctx, planKey{app: app.Name(), cores: cores}, func() (*psins.Plan, error) {
+		prog, err := app.Program(cores)
+		if err != nil {
+			return nil, err
+		}
+		return psins.Compile(prog)
+	})
+	return p, err
 }
 
 // appName tolerates nil apps in span labels (the callee validates).
@@ -1166,9 +1201,9 @@ type predictDetail struct {
 }
 
 // predict is the shared prediction implementation: convolve the dominant
-// trace with the profile, then replay the communication event trace with
-// the convolved per-block costs.
-func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detail predictDetail) (*Prediction, error) {
+// trace with the profile, then replay the application's compiled event
+// trace with the convolved per-block costs.
+func (e *Engine) predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detail predictDetail) (*Prediction, error) {
 	withReplay, withTimeline := detail.withReplay, detail.withTimeline
 	if sig.Machine != prof.Machine.Name {
 		return nil, fmt.Errorf("tracex: %w: signature simulated %q but profile is for %q",
@@ -1182,7 +1217,7 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 	if err != nil {
 		return nil, err
 	}
-	prog, err := app.Program(sig.CoreCount)
+	plan, err := e.plan(ctx, app, sig.CoreCount)
 	if err != nil {
 		return nil, err
 	}
@@ -1199,7 +1234,8 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 	if withTimeline {
 		tl = &Timeline{}
 	}
-	res, err := psins.ReplayTraced(ctx, prog, net, psins.CostFromComputation(comp, lf), tl)
+	cost := psins.CostFromComputation(comp, lf)
+	res, err := plan.Replay(ctx, net, cost, tl)
 	if err != nil {
 		return nil, err
 	}
@@ -1218,7 +1254,7 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 		pred.Replay = res
 	}
 	if detail.intervals && sig.Uncertainty != nil {
-		ivs, err := runtimeIntervals(ctx, dom, sig.Uncertainty, prof, comp, prog, net, lf, detail.levels)
+		ivs, err := runtimeIntervals(ctx, dom, sig.Uncertainty, prof, comp, plan, net, cost, detail.levels)
 		if err != nil {
 			return nil, fmt.Errorf("tracex: propagating prediction intervals: %w", err)
 		}

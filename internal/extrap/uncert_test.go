@@ -1,7 +1,9 @@
 package extrap
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -79,6 +81,42 @@ func TestExtrapolateIntervalsAttachUncertainty(t *testing.T) {
 		p := pf[f.Element].Extrapolated
 		if p != 0 && math.Abs(f.Extrapolated-p)/math.Abs(p) > 0.05 {
 			t.Errorf("element %s averaged %g far from point %g", f.Element, f.Extrapolated, p)
+		}
+	}
+}
+
+// Posterior weights are floating-point sums over the candidate forms, so
+// an iteration order that varies between calls shows up in the last ULPs.
+// Repeated interval extrapolations of one input set must be bit-identical.
+func TestExtrapolateIntervalsDeterministic(t *testing.T) {
+	var inputs []*trace.Signature
+	for i, p := range []int{512, 1024, 2048, 4096} {
+		sig := synthSignature(p)
+		fv := &sig.Traces[0].Blocks[0].FV
+		wobble := 1 + 0.01*float64(i%2*2-1) // breaks every form's exact fit
+		fv.MemOps *= wobble
+		fv.Loads *= wobble
+		fv.Stores *= wobble
+		fv.WorkingSetBytes *= wobble
+		inputs = append(inputs, sig)
+	}
+	var first []byte
+	for i := 0; i < 30; i++ {
+		res, err := Extrapolate(context.Background(), inputs, 8192, Options{Intervals: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(struct {
+			Sig  *trace.Signature
+			Fits []ElementFit
+		}{res.Signature, res.Fits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("extrapolation %d differs from the first:\n%s\nvs\n%s", i, got, first)
 		}
 	}
 }

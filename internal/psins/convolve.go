@@ -1,7 +1,9 @@
 package psins
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tracex/internal/machine"
 	"tracex/internal/trace"
@@ -104,15 +106,27 @@ func Convolve(tr *trace.Trace, prof *machine.Profile) (*Computation, error) {
 // (the paper's approach of scaling every trace file from the slowest task's
 // prediction vector).
 func CostFromComputation(comp *Computation, loadFactor func(rank int) float64) ComputeCost {
-	byID := make(map[uint64]float64, len(comp.Blocks))
-	for _, bt := range comp.Blocks {
-		byID[bt.BlockID] = bt.Seconds
+	// Block times sorted by ID: the replay calls the cost once per compute
+	// event, and a binary search over a few blocks beats hashing. A
+	// repeated ID keeps its last time.
+	blocks := slices.Clone(comp.Blocks)
+	slices.SortStableFunc(blocks, func(a, b BlockTime) int { return cmp.Compare(a.BlockID, b.BlockID) })
+	var ids []uint64
+	var secs []float64
+	for _, bt := range blocks {
+		if n := len(ids); n > 0 && ids[n-1] == bt.BlockID {
+			secs[n-1] = bt.Seconds
+			continue
+		}
+		ids = append(ids, bt.BlockID)
+		secs = append(secs, bt.Seconds)
 	}
 	return func(rank int, blockID uint64, share float64) (float64, error) {
-		t, ok := byID[blockID]
+		i, ok := slices.BinarySearch(ids, blockID)
 		if !ok {
 			return 0, fmt.Errorf("psins: compute event references block %d absent from trace", blockID)
 		}
+		t := secs[i]
 		f := 1.0
 		if loadFactor != nil {
 			f = loadFactor(rank)

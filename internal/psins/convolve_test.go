@@ -146,6 +146,16 @@ func TestCostFromComputation(t *testing.T) {
 	if _, err := neg(0, 1, 1); err == nil {
 		t.Error("negative load factor accepted")
 	}
+	// Blocks arrive in any order; a repeated ID keeps its last time.
+	dup := CostFromComputation(&Computation{Blocks: []BlockTime{
+		{BlockID: 5, Seconds: 1}, {BlockID: 2, Seconds: 3}, {BlockID: 5, Seconds: 2},
+	}}, nil)
+	if a, _ := dup(0, 5, 1); a != 2 {
+		t.Errorf("repeated block 5 costs %g, want its last time 2", a)
+	}
+	if b, _ := dup(0, 2, 1); b != 3 {
+		t.Errorf("block 2 costs %g, want 3", b)
+	}
 }
 
 func TestOverlapFactorBounds(t *testing.T) {

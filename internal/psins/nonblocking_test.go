@@ -2,6 +2,7 @@ package psins
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tracex/internal/mpi"
@@ -100,8 +101,8 @@ func TestReplayWaitUnknownRequest(t *testing.T) {
 	}}
 	// Program.Validate rejects this (wait on unposted request), so Replay
 	// must too.
-	if _, err := Replay(prog, testNet(t), flatCost(0)); err == nil {
-		t.Error("wait on unposted request accepted")
+	if _, err := Replay(prog, testNet(t), flatCost(0)); err == nil || !strings.Contains(err.Error(), "unposted request 9") {
+		t.Errorf("got %v, want the unposted request rejected", err)
 	}
 }
 

@@ -2,8 +2,9 @@ package psins
 
 import (
 	"context"
-
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"tracex/internal/machine"
@@ -247,27 +248,36 @@ func TestReplayMessageOrderFIFO(t *testing.T) {
 	}
 }
 
+// Every replay error must fail for its intended reason, whether it is
+// caught when the plan is compiled or while it replays.
 func TestReplayErrors(t *testing.T) {
 	prog, _ := mpi.NewBuilder("c", 2).ComputeAll(1, 1).Build()
-	if _, err := Replay(prog, testNet(t), nil); err == nil {
-		t.Error("nil cost accepted")
-	}
-	bad := func(rank int, blockID uint64, share float64) (float64, error) {
+	negative := func(rank int, blockID uint64, share float64) (float64, error) {
 		return -1, nil
 	}
-	if _, err := Replay(prog, testNet(t), bad); err == nil {
-		t.Error("negative cost accepted")
+	cases := []struct {
+		name string
+		prog *mpi.Program
+		cost ComputeCost
+		want string
+	}{
+		{"invalid program", &mpi.Program{}, flatCost(1), "program has no ranks"},
+		{"nil cost", prog, nil, "nil compute cost"},
+		{"negative cost", prog, negative, "negative compute cost"},
+		{"mismatched collective", &mpi.Program{App: "x", Ranks: [][]mpi.Event{
+			{{Kind: mpi.Barrier}},
+			{{Kind: mpi.Allreduce, Bytes: 8}},
+		}}, flatCost(0), "rank 1 collective 0 is allreduce/8B, rank 0 ran barrier/0B"},
+		{"mismatched collective size", &mpi.Program{App: "x", Ranks: [][]mpi.Event{
+			{{Kind: mpi.Allreduce, Bytes: 8}},
+			{{Kind: mpi.Allreduce, Bytes: 16}},
+		}}, flatCost(0), "rank 1 collective 0 is allreduce/16B"},
 	}
-	if _, err := Replay(&mpi.Program{}, testNet(t), flatCost(1)); err == nil {
-		t.Error("invalid program accepted")
-	}
-	// Mismatched collective kinds at the same occurrence.
-	mismatch := &mpi.Program{App: "x", Ranks: [][]mpi.Event{
-		{{Kind: mpi.Barrier}},
-		{{Kind: mpi.Allreduce, Bytes: 8}},
-	}}
-	if _, err := Replay(mismatch, testNet(t), flatCost(0)); err == nil {
-		t.Error("mismatched collectives accepted")
+	for _, c := range cases {
+		_, err := Replay(c.prog, testNet(t), c.cost)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -280,8 +290,43 @@ func TestReplayDeadlockDetected(t *testing.T) {
 		{{Kind: mpi.Recv, Peer: 1, Tag: 0, Bytes: 8}, {Kind: mpi.Send, Peer: 1, Tag: 0, Bytes: 8}},
 		{{Kind: mpi.Recv, Peer: 0, Tag: 0, Bytes: 8}, {Kind: mpi.Send, Peer: 0, Tag: 0, Bytes: 8}},
 	}}
-	if _, err := Replay(prog, testNet(t), flatCost(0)); err == nil {
-		t.Error("deadlock not detected")
+	if _, err := Replay(prog, testNet(t), flatCost(0)); err == nil || !strings.Contains(err.Error(), "deadlocked with 2/2 ranks") {
+		t.Errorf("got %v, want the deadlock detected", err)
+	}
+}
+
+// Cancelling the context mid-replay stops the scheduler with ctx.Err().
+func TestReplayCancelledMidReplay(t *testing.T) {
+	g, err := mpi.NewGrid3D(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mpi.NewBuilder("halo", 64)
+	for step := 0; step < 20; step++ {
+		b.ComputeAll(1, 0.05).HaloExchange3DNonblocking(g, 4<<10, step*10).Allreduce(8)
+	}
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	cost := func(rank int, blockID uint64, share float64) (float64, error) {
+		if calls++; calls == 100 {
+			cancel()
+		}
+		return share, nil
+	}
+	if _, err := plan.Replay(ctx, testNet(t), cost, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if calls >= 64*20 {
+		t.Errorf("replay ran all %d compute events after cancellation", calls)
 	}
 }
 

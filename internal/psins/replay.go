@@ -31,19 +31,6 @@ type Result struct {
 	Messages int
 }
 
-// chanKey identifies an ordered point-to-point message stream.
-type chanKey struct{ src, dst, tag int }
-
-// collState tracks one collective occurrence while ranks arrive at it.
-type collState struct {
-	kind    mpi.EventKind
-	bytes   uint64
-	arrived int
-	maxT    float64
-	done    bool
-	endT    float64
-}
-
 // Segment is one interval of a rank's replayed timeline.
 type Segment struct {
 	// Rank is the MPI rank the segment belongs to.
@@ -92,177 +79,112 @@ const ctxCheckMask = 1<<12 - 1
 // recording: cancelling ctx stops the replay promptly mid-schedule and
 // returns ctx.Err(); when tl is non-nil every rank's compute and
 // communication intervals are appended to it (memory grows with the event
-// count — use judiciously at large rank counts).
+// count — use judiciously at large rank counts). It compiles prog and
+// replays the plan once; callers replaying one program repeatedly should
+// Compile it once and call Plan.Replay.
 func ReplayTraced(ctx context.Context, prog *mpi.Program, net Network, cost ComputeCost, tl *Timeline) (*Result, error) {
-	if err := prog.Validate(); err != nil {
+	plan, err := Compile(prog)
+	if err != nil {
 		return nil, err
 	}
+	return plan.Replay(ctx, net, cost, tl)
+}
+
+// Replay runs the plan's discrete-event replay (see ReplayTraced for the
+// semantics). The plan is read-only, so concurrent replays may share it.
+func (p *Plan) Replay(ctx context.Context, net Network, cost ComputeCost, tl *Timeline) (*Result, error) {
 	if cost == nil {
 		return nil, fmt.Errorf("psins: nil compute cost")
 	}
-	n := prog.NumRanks()
+	n := p.numRanks()
 	sp := obs.From(ctx).StartSpan("psins.replay", fmt.Sprintf("%d ranks", n))
 	defer sp.End()
 	res := &Result{
 		RankEnd:     make([]float64, n),
 		ComputeTime: make([]float64, n),
 		CommTime:    make([]float64, n),
+		Messages:    p.slots,
 	}
-	clock := make([]float64, n)
-	pc := make([]int, n)
-	collIdx := make([]int, n) // next collective occurrence index per rank
-	collReg := make([]int, n) // collectives rank r has registered arrival at
-	// arrivals is append-only per channel; consumed counts the slots
-	// claimed by executed Recvs and posted Irecvs (MPI matches receives to
-	// messages in posting order).
-	arrivals := map[chanKey][]float64{}
-	consumed := map[chanKey]int{}
-	// pendingReq[r][request] is an outstanding non-blocking operation.
-	type reqState struct {
-		key    chanKey
-		idx    int // reserved arrival slot (receives only)
-		isSend bool
-	}
-	pendingReq := make([]map[int]reqState, n)
-	for r := range pendingReq {
-		pendingReq[r] = map[int]reqState{}
-	}
-	// nicFree[r] is when rank r's NIC finishes injecting its previous
-	// message: consecutive sends from one rank serialize at the NIC even
-	// though the CPU only pays the per-message overhead.
-	nicFree := make([]float64, n)
-	inject := func(r int, sendTime float64, bytes uint64) float64 {
-		start := sendTime
-		if nicFree[r] > start {
-			start = nicFree[r]
-		}
-		ser := net.SerializationTime(bytes)
-		nicFree[r] = start + ser
-		return start + ser + net.Latency()
-	}
-	var colls []collState
+	s := p.scratch()
+	defer p.pool.Put(s)
+	clock := res.RankEnd // each rank's virtual clock ends as its finish time
+	pc, collReg, nicFree, arrival, ready, colls := s.pc, s.collReg, s.nicFree, s.arrival, s.ready, s.colls
 
-	done := func(r int) bool { return pc[r] >= len(prog.Ranks[r]) }
-	allDone := func() bool {
-		for r := 0; r < n; r++ {
-			if !done(r) {
-				return false
-			}
+	remaining := 0
+	for r := 0; r < n; r++ {
+		if pc[r] < p.start[r+1] {
+			remaining++
 		}
-		return true
 	}
-
 	var replayed int
-	for !allDone() {
+	for remaining > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		progress := false
 		for r := 0; r < n; r++ {
+			end := p.start[r+1]
+			if pc[r] == end {
+				continue
+			}
 			// Drain as many events as possible for this rank before moving
 			// on; only a blocked receive or collective stops it.
 		rankLoop:
-			for !done(r) {
+			for pc[r] < end {
 				if replayed++; replayed&ctxCheckMask == 0 {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
 				}
-				e := prog.Ranks[r][pc[r]]
-				switch e.Kind {
+				o := &p.ops[pc[r]]
+				kind := mpi.EventKind(o.kind)
+				switch kind {
 				case mpi.Compute:
-					dt, err := cost(r, e.BlockID, e.Share)
+					dt, err := cost(r, o.arg, o.share)
 					if err != nil {
-						return nil, fmt.Errorf("psins: rank %d block %d: %w", r, e.BlockID, err)
+						return nil, fmt.Errorf("psins: rank %d block %d: %w", r, o.arg, err)
 					}
 					if dt < 0 {
-						return nil, fmt.Errorf("psins: negative compute cost %g for block %d", dt, e.BlockID)
+						return nil, fmt.Errorf("psins: negative compute cost %g for block %d", dt, o.arg)
 					}
-					tl.add(r, mpi.Compute, clock[r], clock[r]+dt, e.BlockID)
+					tl.add(r, mpi.Compute, clock[r], clock[r]+dt, o.arg)
 					clock[r] += dt
 					res.ComputeTime[r] += dt
-					pc[r]++
-				case mpi.Send:
-					o := net.SendOverhead(e.Bytes)
-					arrival := inject(r, clock[r]+o, e.Bytes)
-					k := chanKey{r, e.Peer, e.Tag}
-					arrivals[k] = append(arrivals[k], arrival)
-					tl.add(r, mpi.Send, clock[r], clock[r]+o, 0)
-					clock[r] += o
-					res.CommTime[r] += o
-					pc[r]++
-				case mpi.Recv:
-					k := chanKey{e.Peer, r, e.Tag}
-					idx := consumed[k]
-					if idx >= len(arrivals[k]) {
+				case mpi.Send, mpi.Isend:
+					// Sends are eager: the CPU pays the injection overhead
+					// and an Isend's Wait is compiled away. Consecutive sends
+					// from one rank serialize at its NIC even though the CPU
+					// only pays the per-message overhead.
+					ov := net.SendOverhead(o.arg)
+					start := clock[r] + ov
+					if nicFree[r] > start {
+						start = nicFree[r]
+					}
+					ser := net.SerializationTime(o.arg)
+					nicFree[r] = start + ser
+					arrival[o.slot] = start + ser + net.Latency()
+					ready[o.slot] = true
+					tl.add(r, kind, clock[r], clock[r]+ov, 0)
+					clock[r] += ov
+					res.CommTime[r] += ov
+				case mpi.Recv, mpi.Wait:
+					// A Recv, or the Wait completing an Irecv: both consume
+					// the message in the slot matched at compile time.
+					if !ready[o.slot] {
 						break rankLoop // blocked: matching send not yet executed
 					}
-					consumed[k] = idx + 1
-					arrival := arrivals[k][idx]
 					start := clock[r]
-					end := arrival
+					end := arrival[o.slot]
 					if end < start {
 						end = start
 					}
 					end += net.RecvOverhead()
-					tl.add(r, mpi.Recv, start, end, 0)
+					tl.add(r, kind, start, end, 0)
 					res.CommTime[r] += end - start
 					clock[r] = end
-					pc[r]++
-				case mpi.Isend:
-					// Eager non-blocking send: the CPU pays the injection
-					// overhead at post time; the Wait is then free.
-					o := net.SendOverhead(e.Bytes)
-					arrival := inject(r, clock[r]+o, e.Bytes)
-					k := chanKey{r, e.Peer, e.Tag}
-					arrivals[k] = append(arrivals[k], arrival)
-					pendingReq[r][e.Request] = reqState{key: k, isSend: true}
-					tl.add(r, mpi.Isend, clock[r], clock[r]+o, 0)
-					clock[r] += o
-					res.CommTime[r] += o
-					pc[r]++
-				case mpi.Irecv:
-					// Posting reserves the next message slot on the channel
-					// (MPI posting-order matching) and costs no time.
-					k := chanKey{e.Peer, r, e.Tag}
-					pendingReq[r][e.Request] = reqState{key: k, idx: consumed[k]}
-					consumed[k]++
-					pc[r]++
-				case mpi.Wait:
-					st, ok := pendingReq[r][e.Request]
-					if !ok {
-						return nil, fmt.Errorf("psins: rank %d waits on unknown request %d", r, e.Request)
-					}
-					if st.isSend {
-						delete(pendingReq[r], e.Request) // eager send: already complete
-						pc[r]++
-						break
-					}
-					if st.idx >= len(arrivals[st.key]) {
-						break rankLoop // message not yet injected by the sender
-					}
-					arrival := arrivals[st.key][st.idx]
-					start := clock[r]
-					end := arrival
-					if end < start {
-						end = start
-					}
-					end += net.RecvOverhead()
-					tl.add(r, mpi.Wait, start, end, 0)
-					res.CommTime[r] += end - start
-					clock[r] = end
-					delete(pendingReq[r], e.Request)
-					pc[r]++
-				default: // collective
-					idx := collIdx[r]
-					for len(colls) <= idx {
-						colls = append(colls, collState{kind: e.Kind, bytes: e.Bytes})
-					}
+				default: // collective; o.slot is its occurrence index
+					idx := int(o.slot)
 					st := &colls[idx]
-					if st.kind != e.Kind || st.bytes != e.Bytes {
-						return nil, fmt.Errorf("psins: rank %d collective %d is %s/%dB, others ran %s/%dB",
-							r, idx, e.Kind, e.Bytes, st.kind, st.bytes)
-					}
 					if collReg[r] == idx {
 						// First visit by this rank: register arrival.
 						st.arrived++
@@ -271,7 +193,8 @@ func ReplayTraced(ctx context.Context, prog *mpi.Program, net Network, cost Comp
 							st.maxT = clock[r]
 						}
 						if st.arrived == n {
-							c, err := net.CollectiveCost(st.kind, n, st.bytes)
+							spec := p.colls[idx]
+							c, err := net.CollectiveCost(spec.kind, n, spec.bytes)
 							if err != nil {
 								return nil, err
 							}
@@ -283,54 +206,39 @@ func ReplayTraced(ctx context.Context, prog *mpi.Program, net Network, cost Comp
 					if !st.done {
 						break rankLoop // wait for the other ranks
 					}
-					tl.add(r, e.Kind, clock[r], st.endT, 0)
+					tl.add(r, kind, clock[r], st.endT, 0)
 					res.CommTime[r] += st.endT - clock[r]
 					clock[r] = st.endT
-					collIdx[r]++
-					pc[r]++
 				}
+				pc[r]++
 				progress = true
+			}
+			if pc[r] == end {
+				remaining--
 			}
 		}
 		if !progress {
-			return nil, fmt.Errorf("psins: replay deadlocked with %d/%d ranks incomplete",
-				countUnfinished(pc, prog), n)
+			return nil, fmt.Errorf("psins: replay deadlocked with %d/%d ranks incomplete", remaining, n)
 		}
 	}
 	for r := 0; r < n; r++ {
-		res.RankEnd[r] = clock[r]
 		if clock[r] > res.Runtime {
 			res.Runtime = clock[r]
 		}
 	}
-	res.Messages = prog.TotalMessages()
 	// One batched metrics update per replay: events executed, messages
 	// delivered, and the virtual compute vs communication-wait split summed
 	// across ranks.
 	m := obs.From(ctx)
-	var events int
-	for r := 0; r < n; r++ {
-		events += len(prog.Ranks[r])
-	}
 	var compute, comm float64
 	for r := 0; r < n; r++ {
 		compute += res.ComputeTime[r]
 		comm += res.CommTime[r]
 	}
 	m.Counter("psins.replays").Inc()
-	m.Counter("psins.events").Add(uint64(events))
+	m.Counter("psins.events").Add(uint64(p.events))
 	m.Counter("psins.messages").Add(uint64(res.Messages))
 	m.Gauge("psins.compute_seconds").Add(compute)
 	m.Gauge("psins.comm_seconds").Add(comm)
 	return res, nil
-}
-
-func countUnfinished(pc []int, prog *mpi.Program) int {
-	var c int
-	for r, p := range pc {
-		if p < len(prog.Ranks[r]) {
-			c++
-		}
-	}
-	return c
 }

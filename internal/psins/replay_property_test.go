@@ -1,6 +1,7 @@
 package psins
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -155,6 +156,82 @@ func TestReplayMonotoneInNetworkProperty(t *testing.T) {
 			return false
 		}
 		return rf.Runtime <= rs.Runtime+1e-12
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameReplay reports whether two replays agree bit for bit: results,
+// per-rank decomposition and timeline segments.
+func sameReplay(a, b *Result, ta, tb *Timeline) bool {
+	same := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if math.Float64bits(a.Runtime) != math.Float64bits(b.Runtime) || a.Messages != b.Messages ||
+		!same(a.RankEnd, b.RankEnd) || !same(a.ComputeTime, b.ComputeTime) || !same(a.CommTime, b.CommTime) {
+		return false
+	}
+	if len(ta.Segments) != len(tb.Segments) {
+		return false
+	}
+	for i, s := range ta.Segments {
+		u := tb.Segments[i]
+		if s.Rank != u.Rank || s.Kind != u.Kind || s.BlockID != u.BlockID ||
+			math.Float64bits(s.Start) != math.Float64bits(u.Start) || math.Float64bits(s.End) != math.Float64bits(u.End) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: one compiled plan replayed repeatedly on reused scratch, with
+// different compute costs in between, equals a fresh ReplayTraced and the
+// map-based reference scheduler bit for bit, timeline included.
+func TestPlanReplayMatchesReferenceProperty(t *testing.T) {
+	net, err := NewNetwork(testNetCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	f := func(seed int64) bool {
+		prog, err := randomProgram(seed)
+		if err != nil {
+			return false
+		}
+		plan, err := Compile(prog)
+		if err != nil {
+			return false
+		}
+		r := rand.New(rand.NewSource(seed ^ 0x91a4))
+		perBlock := map[uint64]float64{1: r.Float64(), 2: r.Float64(), 3: r.Float64()}
+		for _, scale := range []float64{1, 3, 1} {
+			cost := func(rank int, blockID uint64, share float64) (float64, error) {
+				return scale * 0.01 * perBlock[blockID] * share * float64(1+rank%3), nil
+			}
+			var tlRef, tlPlan, tlFresh Timeline
+			ref, err := referenceReplay(ctx, prog, net, cost, &tlRef)
+			if err != nil {
+				return false
+			}
+			got, err := plan.Replay(ctx, net, cost, &tlPlan)
+			if err != nil || !sameReplay(ref, got, &tlRef, &tlPlan) {
+				return false
+			}
+			fresh, err := ReplayTraced(ctx, prog, net, cost, &tlFresh)
+			if err != nil || !sameReplay(ref, fresh, &tlRef, &tlFresh) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -123,9 +123,17 @@ func Average(forms []stats.Form, xs, ys []float64, x float64) (*Estimate, error)
 		fit  stats.FitResult
 		bic  float64
 	}
+	// Visit the forms in name order: the weight sums below are
+	// floating-point, so map order would leak into the last ULPs.
+	names := make([]string, 0, len(all))
+	for name := range all {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	cands := make([]cand, 0, len(all))
 	minBIC := math.Inf(1)
-	for name, fit := range all {
+	for _, name := range names {
+		fit := all[name]
 		pred := fit.Model.Eval(x)
 		if math.IsNaN(pred) || math.IsInf(pred, 0) {
 			continue

@@ -6,7 +6,6 @@ import (
 
 	"tracex/internal/cache"
 	"tracex/internal/memsim"
-	"tracex/internal/pebil"
 	"tracex/internal/psins"
 )
 
@@ -25,9 +24,10 @@ func Measure(app *App, cores int, target MachineConfig, opt CollectOptions) (*Pr
 // interpolating a benchmark-derived bandwidth surface like the convolution,
 // it prices every basic block directly from its cache-simulator accounting
 // with the cycle-level memory timing model, then replays the full MPI event
-// trace. The counters come from the engine's shared collector arena.
-func measure(ctx context.Context, col *pebil.Collector, app *App, cores int, target MachineConfig, opt CollectOptions) (*Prediction, error) {
-	counters, err := col.Counters(ctx, app, cores, target, opt)
+// trace from the engine's plan cache. The counters come from the engine's
+// shared collector arena.
+func (e *Engine) measure(ctx context.Context, app *App, cores int, target MachineConfig, opt CollectOptions) (*Prediction, error) {
+	counters, err := e.collector.Counters(ctx, app, cores, target, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func measure(ctx context.Context, col *pebil.Collector, app *App, cores int, tar
 		memTotal += model.Seconds(memCycles)
 		fpTotal += model.Seconds(fpCycles)
 	}
-	prog, err := app.Program(cores)
+	plan, err := e.plan(ctx, app, cores)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func measure(ctx context.Context, col *pebil.Collector, app *App, cores int, tar
 		}
 		return t * share * app.LoadFactor(rank), nil
 	}
-	res, err := psins.ReplayTraced(ctx, prog, net, cost, nil)
+	res, err := plan.Replay(ctx, net, cost, nil)
 	if err != nil {
 		return nil, err
 	}
