@@ -25,10 +25,11 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the signature codec, the wire strict decoder and
-# the replay plan compiler (CI runs the same smoke).
+# Short fuzz passes over the signature and reuse codecs, the wire strict
+# decoder and the replay plan compiler (CI runs the same smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzReuseDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./wire
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime 10s ./internal/psins
 

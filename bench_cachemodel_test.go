@@ -51,7 +51,7 @@ func sweepCandidates(tb testing.TB) []MachineConfig {
 func BenchmarkGeometrySweepExact(b *testing.B) {
 	app := testApp(b, "specfem3d")
 	candidates := sweepCandidates(b)
-	col, err := pebil.NewCollector()
+	col, err := pebil.NewCollector(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func BenchmarkGeometrySweepExact(b *testing.B) {
 func BenchmarkGeometrySweepAnalytical(b *testing.B) {
 	app := testApp(b, "specfem3d")
 	candidates := sweepCandidates(b)
-	col, err := pebil.NewCollector()
+	col, err := pebil.NewCollector(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkGeometrySweepAnalytical(b *testing.B) {
 // analytical sweep amortizes; comparable to a single exact collection.
 func BenchmarkReuseCollection(b *testing.B) {
 	app := testApp(b, "specfem3d")
-	col, err := pebil.NewCollector()
+	col, err := pebil.NewCollector(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestGeometrySweepSpeedup(t *testing.T) {
 	}
 	app := testApp(t, "specfem3d")
 	candidates := sweepCandidates(t)
-	col, err := pebil.NewCollector()
+	col, err := pebil.NewCollector(0)
 	if err != nil {
 		t.Fatal(err)
 	}

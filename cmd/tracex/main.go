@@ -7,7 +7,8 @@
 //
 //	tracex trace   -app uh3d -cores 1024 -machine bluewaters -out sig1024.json
 //	tracex extrap  -in sig1024.json,sig2048.json,sig4096.json -target 8192 -out sig8192.json
-//	tracex predict -sig sig8192.json -app uh3d [-profile prof.json]
+//	tracex profile -machine bluewaters -out bluewaters.profile.json
+//	tracex predict -sig sig8192.json -app uh3d [-profile prof.json] [-ranks 8]
 //	tracex measure -app uh3d -cores 8192 -machine bluewaters
 //	tracex compare -extrap sig8192.json -collected real8192.json
 //	tracex report  -app uh3d -out report.md
@@ -172,6 +173,8 @@ func dispatch(ctx context.Context, eng *tracex.Engine, cmd string, args []string
 		return true, cmdMeasure(ctx, eng, args)
 	case "compare":
 		return true, cmdCompare(args)
+	case "profile":
+		return true, cmdProfile(ctx, args, os.Stdout)
 	case "report":
 		return true, cmdReport(ctx, eng, args)
 	case "stats":
@@ -229,6 +232,7 @@ commands:
   predict  predict runtime from a signature and a machine profile
   measure  run the detailed execution simulation (ground truth)
   compare  compare an extrapolated trace against a collected one
+  profile  run MultiMAPS on a machine and write or print its profile
   report   run the full pipeline and write a markdown report
   stats    run any command, then print the engine's metrics snapshot
   export   copy a stored signature out of the persistent store
@@ -362,11 +366,15 @@ func cmdPredict(ctx context.Context, eng *tracex.Engine, args []string) error {
 	profPath := fs.String("profile", "", "machine profile path (default: run MultiMAPS on the signature's machine)")
 	intervals := fs.Bool("intervals", false, "print prediction intervals (requires a signature extrapolated with 'extrap -intervals')")
 	jsonOut := fs.Bool("json", false, "emit the tracexd wire JSON body instead of text")
+	ranks := fs.Int("ranks", 0, "also report message totals, load classes and the N slowest ranks (text output)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *sigPath == "" || *appName == "" {
 		return fmt.Errorf("predict requires -sig and -app")
+	}
+	if *ranks < 0 {
+		return fmt.Errorf("predict -ranks must not be negative")
 	}
 	sig, err := loadSignature(*sigPath)
 	if err != nil {
@@ -376,7 +384,7 @@ func cmdPredict(ctx context.Context, eng *tracex.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	req := tracex.PredictRequest{Signature: sig, App: app, Intervals: *intervals}
+	req := tracex.PredictRequest{Signature: sig, App: app, Intervals: *intervals, WithReplay: *ranks > 0}
 	if *profPath != "" {
 		req.Profile, err = machine.LoadProfile(*profPath)
 		if err != nil {
@@ -393,6 +401,9 @@ func cmdPredict(ctx context.Context, eng *tracex.Engine, args []string) error {
 		return printPredictionJSON(pred, "inline")
 	}
 	printPrediction("predicted", pred)
+	if *ranks > 0 {
+		return printRanks(os.Stdout, app, pred, *ranks)
+	}
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"tracex"
+	"tracex/internal/machine"
 	"tracex/internal/trace"
 	"tracex/wire"
 )
@@ -334,5 +335,99 @@ func TestReportScaleDefaults(t *testing.T) {
 	}
 	if len(counts) != 2 || target != 40 {
 		t.Errorf("explicit scale: %v → %d", counts, target)
+	}
+}
+
+func TestCmdProfilePrintsSurface(t *testing.T) {
+	var buf strings.Builder
+	if err := cmdProfile(bg, []string{"-machine", "opteron2", "-refs", "20000"}, &buf); err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "BW (GB/s)") {
+		t.Error("missing header")
+	}
+	if !strings.Contains(out, "rand") {
+		t.Error("missing random probe rows")
+	}
+	if strings.Count(out, "\n") < 20 {
+		t.Errorf("suspiciously few rows:\n%s", out)
+	}
+}
+
+func TestCmdProfileWritesProfile(t *testing.T) {
+	path := tmp(t, "prof.json")
+	var buf strings.Builder
+	if err := cmdProfile(bg, []string{"-machine", "opteron2", "-refs", "20000", "-out", path}, &buf); err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	if strings.Contains(buf.String(), "BW (GB/s)") {
+		t.Error("-out without -print printed the surface")
+	}
+	prof, err := machine.LoadProfile(path)
+	if err != nil {
+		t.Fatalf("LoadProfile: %v", err)
+	}
+	if prof.Machine.Name != "opteron2" || len(prof.Surface) == 0 {
+		t.Errorf("bad profile: %s, %d points", prof.Machine.Name, len(prof.Surface))
+	}
+}
+
+func TestCmdProfileUnknownMachine(t *testing.T) {
+	if err := cmdProfile(bg, []string{"-machine", "nope"}, io.Discard); err == nil {
+		t.Error("unknown machine accepted")
+	}
+}
+
+// TestCmdPredictRanks checks the per-rank report of predict -ranks: message
+// totals, load classes and the slowest ranks of the replay.
+func TestCmdPredictRanks(t *testing.T) {
+	p := tmp(t, "sig64.json")
+	if err := cmdTrace(bg, testEng, collectArgs(p, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdPredict(bg, testEng, []string{"-sig", p, "-app", "stencil3d", "-ranks", "4"}); err != nil {
+		t.Fatalf("predict -ranks: %v", err)
+	}
+	app, err := tracex.LoadApp("stencil3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := trace.Load(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := testEng.Predict(bg, tracex.PredictRequest{Signature: sig, App: app, WithReplay: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := printRanks(&buf, app, pred, 4); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"point-to-point messages", "load classes", "slowest 4 ranks"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rank report missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "    rank "); n != 4 {
+		t.Errorf("rank report lists %d ranks, want 4:\n%s", n, out)
+	}
+}
+
+func TestCmdPredictRanksValidation(t *testing.T) {
+	p := tmp(t, "sig64.json")
+	if err := cmdTrace(bg, testEng, collectArgs(p, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdPredict(bg, testEng, []string{"-sig", p, "-app", "stencil3d", "-ranks", "-1"}); err == nil {
+		t.Error("negative -ranks accepted")
+	}
+	if err := cmdPredict(bg, testEng, []string{"-sig", p, "-app", "nope", "-ranks", "4"}); err == nil {
+		t.Error("unknown app accepted")
+	}
+	if err := cmdPredict(bg, testEng, []string{"-sig", tmp(t, "missing.json"), "-app", "stencil3d", "-ranks", "4"}); err == nil {
+		t.Error("missing signature accepted")
 	}
 }

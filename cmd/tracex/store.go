@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"tracex"
+	"tracex/internal/store"
 	"tracex/internal/trace"
 )
 
@@ -123,21 +125,17 @@ func cmdImport(eng *tracex.Engine, args []string) error {
 	if *in == "" {
 		return fmt.Errorf("import requires -in")
 	}
-	st, err := engineStore(eng)
-	if err != nil {
+	if _, err := engineStore(eng); err != nil {
 		return err
 	}
 	sig, err := loadSignature(*in)
 	if err != nil {
 		return err
 	}
-	cfg, err := tracex.LoadMachine(sig.Machine)
-	if err != nil {
-		return fmt.Errorf("signature names machine %q: %w", sig.Machine, err)
+	entry, err := eng.Import(sig)
+	if errors.Is(err, store.ErrUncertainty) {
+		return fmt.Errorf("cannot import %s: it carries prediction-interval uncertainty, which the store would drop; predict from the file directly", *in)
 	}
-	// Imports are filed under the default collection options — the identity
-	// the engine's warm-start path consults.
-	entry, err := st.Put(sig, tracex.StoreKey(sig.App, sig.CoreCount, cfg, tracex.CollectOptions{}))
 	if err != nil {
 		return err
 	}

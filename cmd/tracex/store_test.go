@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,5 +131,31 @@ func TestCmdStoreValidation(t *testing.T) {
 	}
 	if err := cmdImport(eng, []string{"-in", p}); err == nil {
 		t.Error("import of an invalid signature file succeeded")
+	}
+}
+
+// TestCmdImportRefusesUncertainty pins that import reports, rather than
+// silently drops, the uncertainty of an interval extrapolation.
+func TestCmdImportRefusesUncertainty(t *testing.T) {
+	dir := t.TempDir()
+	paths := make([]string, 0, 3)
+	for _, cores := range []int{64, 128, 256} {
+		p := filepath.Join(dir, fmt.Sprintf("sig%d.json", cores))
+		if err := cmdTrace(bg, testEng, collectArgs(p, cores)); err != nil {
+			t.Fatalf("trace %d: %v", cores, err)
+		}
+		paths = append(paths, p)
+	}
+	ivSig := filepath.Join(dir, "sig512iv.json")
+	if err := cmdExtrap(bg, testEng, []string{"-in", strings.Join(paths, ","), "-target", "512", "-out", ivSig, "-intervals"}); err != nil {
+		t.Fatalf("extrap -intervals: %v", err)
+	}
+	eng, _ := storeEng(t)
+	err := cmdImport(eng, []string{"-in", ivSig})
+	if err == nil || !strings.Contains(err.Error(), "uncertainty") {
+		t.Fatalf("import of an interval signature: err = %v, want an uncertainty refusal", err)
+	}
+	if n := eng.Store().Len(); n != 0 {
+		t.Errorf("refused import left %d store entries", n)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tracex/internal/cache"
 	"tracex/internal/extrap"
 	"tracex/internal/memo"
 	"tracex/internal/multimaps"
@@ -72,138 +71,12 @@ type Engine struct {
 	closeErr    error
 }
 
-// sigKey identifies one signature collection. The collect options are
-// normalized (defaults filled, execution-only knobs cleared) so equivalent
-// requests share an entry.
-type sigKey struct {
-	app     string
-	cores   int
-	machine string // machine.Config.Fingerprint()
-	opt     CollectOptions
-}
-
-// reuseKey identifies one reuse-distance collection. No machine component:
-// the profile is geometry-free, and the cache model is cleared from the
-// options because the same profile serves every model.
-type reuseKey struct {
-	app   string
-	cores int
-	opt   CollectOptions
-}
-
 // planKey identifies one compiled replay plan: an application's event
 // trace depends only on the application and its core count, the same
 // identity sigKey starts with.
 type planKey struct {
 	app   string
 	cores int
-}
-
-// reuseOpt normalizes options to the reuse profile's identity.
-func reuseOpt(opt CollectOptions) CollectOptions {
-	n := opt.Normalized()
-	n.Model = ""
-	return n
-}
-
-// Provenance reports which tier of the engine's signature cache satisfied
-// a collection request: the in-memory memo, the persistent on-disk store,
-// or a fresh simulation. The HTTP service surfaces it as the `from` field
-// on predict responses.
-type Provenance string
-
-const (
-	// FromMemory: served by the in-memory memo cache (or by joining an
-	// identical in-flight collection).
-	FromMemory Provenance = "memory"
-	// FromDisk: loaded from the persistent signature store — a warm
-	// start, no simulation ran.
-	FromDisk Provenance = "disk"
-	// FromCollected: simulated fresh (and written through to both cache
-	// tiers).
-	FromCollected Provenance = "collected"
-	// FromAnalytical: derived analytically from a reuse-distance
-	// signature for this geometry — the underlying geometry-free profile
-	// may have come from any tier, but no per-geometry simulation ran.
-	FromAnalytical Provenance = "analytical"
-	// FromPeer: fetched from a remote tier (WithRemoteTier) — another
-	// tracexd that already holds the signature — and written through to
-	// the local disk store; no local simulation ran.
-	FromPeer Provenance = "peer"
-)
-
-// RemoteTier is a remote source of already-collected signatures the engine
-// consults between its disk tier and a fresh collection (see
-// WithRemoteTier). An implementation (internal/fleet) returns the signature
-// for the exact (app, cores, machine, options) identity, (nil, nil) when no
-// remote holds it, or an error for transient trouble; the engine treats
-// both of the latter the same — it falls back to collecting locally, so an
-// unreachable remote never fails a request on its own.
-type RemoteTier interface {
-	FetchSignature(ctx context.Context, app string, cores int, machine string, opt CollectOptions) (*Signature, error)
-}
-
-// SignatureStore is the persistent, content-addressed signature store an
-// Engine warm-starts from (see WithStore and internal/store).
-type SignatureStore = store.Store
-
-// SignatureKey is the logical identity of a stored signature: application,
-// machine (name plus configuration fingerprint), core count and normalized
-// collection options, flattened to the store's string form.
-type SignatureKey = store.Key
-
-// StoreKey returns the persistent-store key the Engine files a collection
-// under. Exported so tools importing or exporting signatures (the tracex
-// CLI) index them exactly as a warm-starting Engine will look them up.
-func StoreKey(app string, cores int, m MachineConfig, opt CollectOptions) SignatureKey {
-	return store.Key{
-		App:       app,
-		Machine:   m.Name,
-		MachineFP: shortHash(m.Fingerprint()),
-		Cores:     cores,
-		Opt:       shortHash(optIdentity(opt.Normalized())),
-	}
-}
-
-// ReuseStoreKey returns the persistent-store key for a machine-independent
-// reuse-distance signature: no machine name or fingerprint — one stored
-// profile serves every cache geometry — and the model cleared from the
-// option identity, since the profile is the same whichever model consumes
-// it.
-func ReuseStoreKey(app string, cores int, opt CollectOptions) SignatureKey {
-	return store.Key{
-		App:   app,
-		Cores: cores,
-		Opt:   shortHash(optIdentity(reuseOpt(opt))),
-		Kind:  store.KindReuse,
-	}
-}
-
-// optIdentity renders a normalized configuration in the stable identity
-// form hashed into store keys. For the exact model it reproduces the
-// pre-Model `%+v` rendering of CollectorConfig byte for byte, so stores
-// written before the Model field existed keep resolving under their
-// original keys. Fixed sampling policies normalize into the legacy
-// SampleRefs/MaxWarmRefs ints (see CollectorConfig.Normalized), so only
-// adaptive policies — which produce different hit rates — extend the
-// identity.
-func optIdentity(n CollectOptions) string {
-	s := fmt.Sprintf("{SampleRefs:%d MaxWarmRefs:%d Workers:0 BatchSize:0 SharedHierarchy:%t}",
-		n.SampleRefs, n.MaxWarmRefs, n.SharedHierarchy)
-	if n.Model != "" && n.Model != ModelExact {
-		s += " Model:" + string(n.Model)
-	}
-	if n.Sampling.IsAdaptive() {
-		s += " Sampling:" + n.Sampling.String()
-	}
-	return s
-}
-
-// shortHash condenses a long identity string (machine fingerprint, option
-// set) into a 16-hex-digit discriminator for manifest keys.
-func shortHash(s string) string {
-	h := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(h[:8])
 }
 
 // ErrBadParallelism reports a WithParallelism value below 1. The worker
@@ -447,24 +320,6 @@ func WithRemoteTier(rt RemoteTier) EngineOption {
 	return func(c *engineConfig) { c.remote = rt }
 }
 
-// noRemoteTierKey marks a context whose work must not consult the remote
-// tier.
-type noRemoteTierKey struct{}
-
-// ContextWithoutRemoteTier returns a context under which the engine
-// collects strictly locally: the remote tier (WithRemoteTier) is skipped.
-// The HTTP service applies it to delegated collection requests, breaking
-// delegation cycles when fleet members briefly disagree on key ownership.
-func ContextWithoutRemoteTier(ctx context.Context) context.Context {
-	return context.WithValue(ctx, noRemoteTierKey{}, true)
-}
-
-// remoteTierDisabled reports whether ctx forbids remote-tier fetches.
-func remoteTierDisabled(ctx context.Context) bool {
-	on, _ := ctx.Value(noRemoteTierKey{}).(bool)
-	return on
-}
-
 // WithRegistry sets the observability registry the engine and the pipeline
 // stages beneath it record into. The default is a fresh registry per
 // engine; pass a shared registry to aggregate several engines, or nil to
@@ -509,7 +364,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 	// The collection arena is shared by every collection the engine runs;
 	// sizing it by the pool bound keeps total simulation concurrency at
 	// parallelism even when several collections are in flight.
-	col, err := pebil.NewCollector(pebil.WithWorkers(cfg.parallelism))
+	col, err := pebil.NewCollector(cfg.parallelism)
 	if err != nil && e.confErr == nil {
 		e.confErr = fmt.Errorf("tracex: %w", err)
 	}
@@ -607,159 +462,6 @@ func (e *Engine) Profile(ctx context.Context, cfg MachineConfig) (*Profile, erro
 	})
 	return prof, err
 }
-
-// CollectSignature traces the application at the given core count against
-// the target machine, memoizing the result: a second identical request is
-// served from cache with zero new simulation. A zero opt selects the
-// engine's default collection options (WithCollectOptions).
-func (e *Engine) CollectSignature(ctx context.Context, app *App, cores int, target MachineConfig, opt CollectOptions) (*Signature, error) {
-	sig, _, err := e.CollectSignatureFrom(ctx, app, cores, target, opt)
-	return sig, err
-}
-
-// CollectSignatureFrom is CollectSignature with provenance: it reports
-// which tier satisfied the request — the in-memory cache, the persistent
-// store (WithStore), a fleet peer (WithRemoteTier), or a fresh simulation.
-// The tiers are checked in that order; a simulated signature is written
-// through memory and disk on the way out, so the next identical request in
-// this process is a memory hit and the next one in a restarted process is a
-// disk hit. A peer fetch writes through to disk the same way, and any peer
-// failure silently degrades to a local collection.
-func (e *Engine) CollectSignatureFrom(ctx context.Context, app *App, cores int, target MachineConfig, opt CollectOptions) (*Signature, Provenance, error) {
-	if err := e.usable(); err != nil {
-		return nil, "", err
-	}
-	if app == nil {
-		return nil, "", fmt.Errorf("tracex: nil application")
-	}
-	if opt == (CollectOptions{}) {
-		opt = e.collectOpt
-	}
-	if opt.Model == "" {
-		opt.Model = e.model
-	}
-	ctx = e.obsCtx(ctx)
-	sp := e.reg.StartSpan("engine.collect", fmt.Sprintf("%s@%d", app.Name(), cores))
-	defer sp.End()
-	norm := opt.Normalized()
-	key := sigKey{app: app.Name(), cores: cores, machine: target.Fingerprint(), opt: norm}
-	// prov is written only inside the memoized function, which either
-	// runs on this goroutine (miss) or not at all (hit) — never on
-	// another goroutine — so the read below is race-free.
-	prov := FromCollected
-	sig, hit, err := e.sigs.Do(ctx, key, func() (*Signature, error) {
-		if norm.Model == ModelAnalytical {
-			// Analytical path: the expensive, persisted artifact is the
-			// geometry-free reuse profile; the per-geometry signature is
-			// derived from it in microseconds and only memoized, never
-			// written to disk.
-			rs, _, err := e.CollectReuse(ctx, app, cores, opt)
-			if err != nil {
-				return nil, err
-			}
-			prov = FromAnalytical
-			return pebil.SignatureFromReuse(rs, app, target, nil, cache.Analytical{})
-		}
-		// Adaptive collections carry measurement uncertainty, which the
-		// binary store codec does not persist; a disk round-trip would
-		// silently drop it, so adaptive signatures stay in the memory and
-		// peer tiers (peers exchange JSON, which carries it).
-		useDisk := e.disk != nil && !norm.Sampling.IsAdaptive()
-		if useDisk {
-			if sig, ok, _ := e.disk.Get(StoreKey(app.Name(), cores, target, opt)); ok {
-				prov = FromDisk
-				return sig, nil
-			}
-		}
-		if e.remote != nil && !remoteTierDisabled(ctx) {
-			e.peerFetches.Inc()
-			if sig, ferr := e.remote.FetchSignature(ctx, app.Name(), cores, target.Name, opt); ferr == nil && sig != nil {
-				e.peerHits.Inc()
-				prov = FromPeer
-				if useDisk {
-					if _, perr := e.disk.Put(sig, StoreKey(app.Name(), cores, target, opt)); perr != nil {
-						e.putErrors.Inc()
-					}
-				}
-				return sig, nil
-			} else if ctx.Err() != nil {
-				// A cancelled request must not mask the cancellation with
-				// a fresh local collection.
-				return nil, ctx.Err()
-			}
-			// Any other fetch failure (peer down, key unowned, not found)
-			// degrades to a local collection below.
-		}
-		sig, err := e.collector.Collect(ctx, app, cores, target, nil, opt)
-		if err == nil && useDisk {
-			if _, perr := e.disk.Put(sig, StoreKey(app.Name(), cores, target, opt)); perr != nil {
-				// A full or read-only disk must not fail the
-				// collection that just succeeded; the lost write is
-				// only a future cold start.
-				e.putErrors.Inc()
-			}
-		}
-		return sig, err
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	if hit {
-		prov = FromMemory
-	}
-	return sig, prov, nil
-}
-
-// CollectReuse returns the machine-independent reuse-distance signature of
-// the application at the given core count, with the same tiering as
-// CollectSignatureFrom: in-memory memo, then the persistent store (the
-// profile is keyed without any machine component — see ReuseStoreKey), then
-// a fresh recording written through both tiers. The provenance reports the
-// tier that satisfied the request. A zero opt selects the engine's default
-// collection options; the options' Model and execution knobs do not affect
-// the profile's identity.
-func (e *Engine) CollectReuse(ctx context.Context, app *App, cores int, opt CollectOptions) (*ReuseSignature, Provenance, error) {
-	if err := e.usable(); err != nil {
-		return nil, "", err
-	}
-	if app == nil {
-		return nil, "", fmt.Errorf("tracex: nil application")
-	}
-	if opt == (CollectOptions{}) {
-		opt = e.collectOpt
-	}
-	ctx = e.obsCtx(ctx)
-	sp := e.reg.StartSpan("engine.reuse", fmt.Sprintf("%s@%d", app.Name(), cores))
-	defer sp.End()
-	key := reuseKey{app: app.Name(), cores: cores, opt: reuseOpt(opt)}
-	prov := FromCollected
-	rs, hit, err := e.reuse.Do(ctx, key, func() (*ReuseSignature, error) {
-		if e.disk != nil {
-			if rs, ok, _ := e.disk.GetReuse(ReuseStoreKey(app.Name(), cores, opt)); ok {
-				prov = FromDisk
-				return rs, nil
-			}
-		}
-		rs, err := e.collector.CollectReuse(ctx, app, cores, opt)
-		if err == nil && e.disk != nil {
-			if _, perr := e.disk.PutReuse(rs, ReuseStoreKey(app.Name(), cores, opt)); perr != nil {
-				e.putErrors.Inc()
-			}
-		}
-		return rs, err
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	if hit {
-		prov = FromMemory
-	}
-	return rs, prov, nil
-}
-
-// Store returns the engine's persistent signature store, or nil when the
-// engine was built without WithStore.
-func (e *Engine) Store() *SignatureStore { return e.disk }
 
 // CollectInputs traces the application at each of the given core counts —
 // the "series of smaller core counts" the extrapolation consumes — fanning

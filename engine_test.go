@@ -615,7 +615,7 @@ func TestSentinelErrors(t *testing.T) {
 	}
 
 	// ErrRankOutOfRange: selecting a rank ≥ core count during collection.
-	col, err := pebil.NewCollector()
+	col, err := pebil.NewCollector(0)
 	if err != nil {
 		t.Fatal(err)
 	}

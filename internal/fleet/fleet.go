@@ -24,8 +24,7 @@ import (
 // FleetStatusResponse.Mode).
 const (
 	// ModeFetch (default): the non-owner delegates collection to the owner
-	// and fetches the result over the store API, serving it locally with
-	// provenance "peer".
+	// and serves the returned signature locally with provenance "peer".
 	ModeFetch = wire.FleetModeFetch
 	// ModeRedirect: like fetch on the predict path, but a direct
 	// GET /v1/signatures/{key} for a remote-owned, locally-missing key
@@ -238,9 +237,8 @@ func (f *Fleet) peer(url string) (remote, *peerHealth) {
 }
 
 // FetchSignature implements tracex.RemoteTier: resolve the key's owner on
-// the ring and retrieve the signature from it — first via the store read
-// path, then (fetch mode and redirect mode alike; redirect only changes
-// the HTTP store API) by delegating the collection to the owner. Every
+// the ring and delegate the collection to it (fetch mode and redirect mode
+// alike; redirect only changes the HTTP store API). Every
 // error return means "collect locally": ownership by self, probation,
 // transport trouble or an invalid payload never fail the caller's request.
 func (f *Fleet) FetchSignature(ctx context.Context, app string, cores int, machine string, opt tracex.CollectOptions) (*tracex.Signature, error) {
@@ -271,7 +269,7 @@ func (f *Fleet) FetchSignature(ctx context.Context, app string, cores int, machi
 	defer cancel()
 
 	f.fetches.Inc()
-	sig, err := f.fetchFrom(ctx, rem, key, app, cores, machine, opt)
+	sig, err := f.fetchFrom(ctx, rem, app, cores, machine, opt)
 	benched := health.observe(err == nil, f.now(), f.jitter)
 	if err != nil {
 		f.errors.Inc()
@@ -284,46 +282,27 @@ func (f *Fleet) FetchSignature(ctx context.Context, app string, cores int, machi
 	return sig, nil
 }
 
-// fetchFrom performs the two-step exchange with the owner: GET the stored
-// signature; on a miss (404) or a storeless owner (501), delegate the
-// collection (Delegated=true so the owner collects strictly locally) and
-// use the returned signature. The result is validated against the
+// fetchFrom delegates the collection to the owner by full identity: a
+// POST /v1/signatures carrying the requested model and the effective
+// sampling policy (Delegated=true so the owner collects strictly locally).
+// The owner resolves it through its own tier chain — memory, disk, then one
+// collection that its memo shares among every non-owner's claim — so the
+// key is simulated once cluster-wide, and never answered with a signature
+// collected under other options. The result is validated against the
 // requested identity before it is trusted.
-func (f *Fleet) fetchFrom(ctx context.Context, rem remote, key, app string, cores int, machine string, opt tracex.CollectOptions) (*tracex.Signature, error) {
-	stored, err := rem.GetSignature(ctx, key)
-	switch {
-	case err == nil:
-		return validated(stored.Signature, app, cores, machine)
-	case errors.Is(err, client.ErrNotFound), errors.Is(err, client.ErrNoStore):
-		// Owner doesn't hold it yet: claim the cluster-wide collection by
-		// delegating to the owner. Its engine memo deduplicates concurrent
-		// claims from every non-owner, so the key is simulated once.
-		req := &wire.SignatureRequest{
-			App:        app,
-			Cores:      cores,
-			Machine:    machine,
-			SampleRefs: opt.SampleRefs,
-			Model:      string(opt.Model),
-			Delegated:  true,
-		}
-		switch {
-		case opt.Sampling.IsAdaptive():
-			// Forward the adaptive policy so the owner collects under the
-			// same identity the requester memoizes.
-			req.Sampling = opt.Sampling.String()
-		case opt.Sampling.Mode == tracex.SamplingModeFixed:
-			// A fixed policy collapses into the legacy sample_refs shim —
-			// the owner's store key stays byte-identical either way.
-			req.SampleRefs = opt.Sampling.SampleRefs
-		}
-		resp, err := rem.Collect(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return validated(resp.Signature, app, cores, machine)
-	default:
+func (f *Fleet) fetchFrom(ctx context.Context, rem remote, app string, cores int, machine string, opt tracex.CollectOptions) (*tracex.Signature, error) {
+	resp, err := rem.Collect(ctx, &wire.SignatureRequest{
+		App:       app,
+		Cores:     cores,
+		Machine:   machine,
+		Model:     string(opt.Normalized().Model),
+		Sampling:  opt.EffectiveSampling().String(),
+		Delegated: true,
+	})
+	if err != nil {
 		return nil, err
 	}
+	return validated(resp.Signature, app, cores, machine)
 }
 
 // validated sanity-checks a peer-supplied signature before the engine

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -157,9 +156,10 @@ func TestFetchOwnedLocally(t *testing.T) {
 	}
 }
 
-// TestFetchFromOwnerStore pins the happy path: the owner already holds the
-// signature, the fetch validates it and the counters move.
-func TestFetchFromOwnerStore(t *testing.T) {
+// TestFetchDelegates pins the only fetch path: the non-owner delegates the
+// collection to the owner by full identity with Delegated=true, serves the
+// result, and the counters move.
+func TestFetchDelegates(t *testing.T) {
 	fake := &fakeRemote{t: t}
 	f, reg := newTestFleet(t, fake)
 	cores, ok := fetchCores(f, false)
@@ -167,42 +167,6 @@ func TestFetchFromOwnerStore(t *testing.T) {
 		t.Fatal("no peer-owned identity found")
 	}
 	sig := collectSigAt(t, cores)
-	fake.get = func(key string) (*wire.StoredSignatureResponse, error) {
-		want := client.Key(sigApp, cores, sigMachine)
-		if key != want {
-			t.Errorf("fetched key %q, want %q", key, want)
-		}
-		return &wire.StoredSignatureResponse{App: sigApp, Cores: cores, Machine: sigMachine, Signature: sig}, nil
-	}
-	got, err := f.FetchSignature(bg, sigApp, cores, sigMachine, sigOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != sig {
-		t.Error("fetched signature not returned")
-	}
-	if v := reg.Counter("fleet.peer.fetches").Value(); v != 1 {
-		t.Errorf("fleet.peer.fetches = %d, want 1", v)
-	}
-	if v := reg.Counter("fleet.peer.hits").Value(); v != 1 {
-		t.Errorf("fleet.peer.hits = %d, want 1", v)
-	}
-}
-
-// TestFetchDelegates pins the claim path: the owner misses (404), the
-// non-owner delegates the collection with Delegated=true and serves the
-// result.
-func TestFetchDelegates(t *testing.T) {
-	fake := &fakeRemote{t: t}
-	f, _ := newTestFleet(t, fake)
-	cores, ok := fetchCores(f, false)
-	if !ok {
-		t.Fatal("no peer-owned identity found")
-	}
-	sig := collectSigAt(t, cores)
-	fake.get = func(string) (*wire.StoredSignatureResponse, error) {
-		return nil, fmt.Errorf("%w", client.ErrNotFound)
-	}
 	var delegated *wire.SignatureRequest
 	fake.collect = func(req *wire.SignatureRequest) (*wire.SignatureResponse, error) {
 		delegated = req
@@ -218,8 +182,15 @@ func TestFetchDelegates(t *testing.T) {
 	if delegated == nil || !delegated.Delegated {
 		t.Fatalf("delegation request = %+v, want Delegated=true", delegated)
 	}
-	if delegated.App != sigApp || delegated.Cores != cores || delegated.SampleRefs != sigOpt.SampleRefs {
+	if delegated.App != sigApp || delegated.Cores != cores || delegated.Machine != sigMachine ||
+		delegated.Model != "exact" || delegated.Sampling != "fixed:20000,warm=60000" || delegated.SampleRefs != 0 {
 		t.Errorf("delegation identity = %+v", delegated)
+	}
+	if v := reg.Counter("fleet.peer.fetches").Value(); v != 1 {
+		t.Errorf("fleet.peer.fetches = %d, want 1", v)
+	}
+	if v := reg.Counter("fleet.peer.hits").Value(); v != 1 {
+		t.Errorf("fleet.peer.hits = %d, want 1", v)
 	}
 }
 
@@ -235,8 +206,8 @@ func TestFetchRejectsMismatch(t *testing.T) {
 	// The peer answers with a signature for a different core count than
 	// the one requested.
 	sig := collectSigAt(t, cores)
-	fake.get = func(string) (*wire.StoredSignatureResponse, error) {
-		return &wire.StoredSignatureResponse{Signature: sig}, nil
+	fake.collect = func(*wire.SignatureRequest) (*wire.SignatureResponse, error) {
+		return &wire.SignatureResponse{Signature: sig}, nil
 	}
 	wrong, ok := nextPeerCores(f, cores)
 	if !ok {
@@ -266,7 +237,7 @@ func nextPeerCores(f *Fleet, not int) (int, bool) {
 func TestFetchProbation(t *testing.T) {
 	fake := &fakeRemote{t: t}
 	calls := 0
-	fake.get = func(string) (*wire.StoredSignatureResponse, error) {
+	fake.collect = func(*wire.SignatureRequest) (*wire.SignatureResponse, error) {
 		calls++
 		return nil, errors.New("connection refused")
 	}
@@ -309,7 +280,7 @@ func TestFetchProbation(t *testing.T) {
 // their probation state, departed peers are forgotten.
 func TestSetPeersPreservesHealth(t *testing.T) {
 	fake := &fakeRemote{t: t}
-	fake.get = func(string) (*wire.StoredSignatureResponse, error) {
+	fake.collect = func(*wire.SignatureRequest) (*wire.SignatureResponse, error) {
 		return nil, errors.New("down")
 	}
 	f, _ := newTestFleet(t, fake)

@@ -65,7 +65,7 @@ func (f *Fleet) Replicate(ctx context.Context, eng *tracex.Engine) (pulled int, 
 				fail(err)
 				return pulled, firstErr
 			}
-			if err := f.pullOne(ctx, rem, st, key, e); err != nil {
+			if err := f.pullOne(ctx, rem, eng, key, e); err != nil {
 				fail(fmt.Errorf("fleet: pulling %s from %s: %w", key, peer, err))
 				continue
 			}
@@ -78,9 +78,9 @@ func (f *Fleet) Replicate(ctx context.Context, eng *tracex.Engine) (pulled int, 
 	return pulled, firstErr
 }
 
-// pullOne fetches one owned signature from a peer and files it in the
-// local store under the canonical key for its identity.
-func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureStore, key string, e wire.FleetSyncEntry) error {
+// pullOne fetches one owned signature from a peer and imports it into the
+// engine's store under the canonical key for its identity.
+func (f *Fleet) pullOne(ctx context.Context, rem remote, eng *tracex.Engine, key string, e wire.FleetSyncEntry) error {
 	select {
 	case f.sem <- struct{}{}:
 		defer func() { <-f.sem }()
@@ -97,11 +97,7 @@ func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureSto
 	if err != nil {
 		return err
 	}
-	m, err := tracex.LoadMachine(e.Machine)
-	if err != nil {
-		return err
-	}
-	_, err = st.Put(sig, tracex.StoreKey(e.App, e.Cores, m, tracex.CollectOptions{}))
+	_, err = eng.Import(sig)
 	return err
 }
 

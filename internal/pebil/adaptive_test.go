@@ -153,7 +153,7 @@ func TestFixedPolicyMatchesLegacyConfig(t *testing.T) {
 
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(4))
+	col, err := NewCollector(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestAdaptiveDeterministicAcrossScheduling(t *testing.T) {
 	}
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(8))
+	col, err := NewCollector(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestAdaptiveAccuracyAndErrorBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewCollector(WithWorkers(8))
+	col, err := NewCollector(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestAdaptiveAccuracyAndErrorBounds(t *testing.T) {
 func TestAdaptiveReducesSimulatedRefs(t *testing.T) {
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(8))
+	col, err := NewCollector(8)
 	if err != nil {
 		t.Fatal(err)
 	}

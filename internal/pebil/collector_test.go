@@ -54,29 +54,13 @@ func TestCollectorConfigNormalized(t *testing.T) {
 	}
 }
 
-func TestNewCollectorConfigOptions(t *testing.T) {
-	c, err := NewCollectorConfig(
-		WithSampleRefs(123), WithMaxWarmRefs(456),
-		WithWorkers(2), WithBatchSize(64), WithSharedHierarchy(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := CollectorConfig{SampleRefs: 123, MaxWarmRefs: 456, Workers: 2, BatchSize: 64, SharedHierarchy: true}
-	if c != want {
-		t.Errorf("NewCollectorConfig = %+v, want %+v", c, want)
-	}
-	if _, err := NewCollectorConfig(WithWorkers(-3)); err == nil {
-		t.Error("invalid option accepted")
-	}
-}
-
 // TestCountersDeterministicAcrossWorkersAndBatch is the tentpole
 // determinism guarantee: workers and batch size are execution-only knobs.
 func TestCountersDeterministicAcrossWorkersAndBatch(t *testing.T) {
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
 	ctx := context.Background()
-	col, err := NewCollector(WithWorkers(8))
+	col, err := NewCollector(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +89,7 @@ func TestCountersDeterministicAcrossWorkersAndBatch(t *testing.T) {
 func TestCollectorRejectsInvalidConfig(t *testing.T) {
 	app := synthapp.Stencil3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector()
+	col, err := NewCollector(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +97,15 @@ func TestCollectorRejectsInvalidConfig(t *testing.T) {
 	if _, err := col.Counters(context.Background(), app, 64, bw, CollectorConfig{SampleRefs: -5}); err == nil {
 		t.Error("negative SampleRefs accepted")
 	}
-	if _, err := NewCollector(WithBatchSize(-1)); err == nil {
-		t.Error("NewCollector accepted invalid option")
+	if _, err := NewCollector(-1); err == nil {
+		t.Error("NewCollector accepted a negative worker count")
 	}
 }
 
 func TestCollectorCloseSemantics(t *testing.T) {
 	app := synthapp.Stencil3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(2))
+	col, err := NewCollector(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +129,7 @@ func TestCancellationPromptNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(4))
+	col, err := NewCollector(4)
 	if err != nil {
 		t.Fatal(err)
 	}

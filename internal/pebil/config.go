@@ -56,8 +56,7 @@ func ParseCacheModel(s string) (CacheModel, error) {
 }
 
 // CollectorConfig tunes signature collection. It is validated like
-// tracex.ExtrapOptions: construct it directly or through
-// NewCollectorConfig with functional options, and call Validate before use
+// tracex.ExtrapOptions: construct it directly and call Validate before use
 // (the Collector does so on every collection). The zero value selects all
 // defaults.
 //
@@ -208,59 +207,4 @@ func (c CollectorConfig) EffectiveSampling() SamplingPolicy {
 		return n.Sampling
 	}
 	return SamplingPolicy{Mode: SamplingModeFixed, SampleRefs: n.SampleRefs, MaxWarmRefs: n.MaxWarmRefs}
-}
-
-// CollectorOption configures a CollectorConfig, mirroring the Engine's
-// functional-option style.
-type CollectorOption func(*CollectorConfig)
-
-// WithSampleRefs sets the per-block sample length.
-func WithSampleRefs(n int) CollectorOption {
-	return func(c *CollectorConfig) { c.SampleRefs = n }
-}
-
-// WithMaxWarmRefs sets the per-block warm-up cap.
-func WithMaxWarmRefs(n int) CollectorOption {
-	return func(c *CollectorConfig) { c.MaxWarmRefs = n }
-}
-
-// WithWorkers bounds concurrent work units (and sizes the arena of a
-// Collector built with this option).
-func WithWorkers(n int) CollectorOption {
-	return func(c *CollectorConfig) { c.Workers = n }
-}
-
-// WithBatchSize sets the address-slab length.
-func WithBatchSize(n int) CollectorOption {
-	return func(c *CollectorConfig) { c.BatchSize = n }
-}
-
-// WithSharedHierarchy selects interleaved collection through one shared
-// cache simulator.
-func WithSharedHierarchy(on bool) CollectorOption {
-	return func(c *CollectorConfig) { c.SharedHierarchy = on }
-}
-
-// WithCacheModel selects the cache model hit rates come from.
-func WithCacheModel(m CacheModel) CollectorOption {
-	return func(c *CollectorConfig) { c.Model = m }
-}
-
-// WithSamplingPolicy sets the reference-budget policy (see SamplingPolicy,
-// FixedSampling, AdaptiveSampling).
-func WithSamplingPolicy(p SamplingPolicy) CollectorOption {
-	return func(c *CollectorConfig) { c.Sampling = p }
-}
-
-// NewCollectorConfig applies the options to a zero CollectorConfig and
-// validates the result.
-func NewCollectorConfig(opts ...CollectorOption) (CollectorConfig, error) {
-	var c CollectorConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	if err := c.Validate(); err != nil {
-		return CollectorConfig{}, err
-	}
-	return c, nil
 }

@@ -61,7 +61,7 @@ func TestGoldenEquivalenceWithSerialPath(t *testing.T) {
 		{synthapp.UH3D(), 1024, machine.BlueWatersP1()},
 		{synthapp.SPECFEM3D(), 384, machine.WithPrefetch(machine.SandyBridge())},
 	}
-	col, err := NewCollector(WithWorkers(8))
+	col, err := NewCollector(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func BenchmarkCollect(b *testing.B) {
 	}
 	for _, run := range runs {
 		b.Run(run.name, func(b *testing.B) {
-			col, err := NewCollector()
+			col, err := NewCollector(0)
 			if err != nil {
 				b.Fatal(err)
 			}

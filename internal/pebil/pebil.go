@@ -63,24 +63,17 @@ type BlockCounters struct {
 // Close the Collector when done to release the workers.
 type Collector struct {
 	arena *Arena
-	base  CollectorConfig
 }
 
-// NewCollector builds a Collector whose arena is sized by WithWorkers
-// (default: one worker per CPU). The remaining options become the
-// collector's base configuration, used whenever a collection is invoked
-// with a zero CollectorConfig.
-func NewCollector(opts ...CollectorOption) (*Collector, error) {
-	cfg, err := NewCollectorConfig(opts...)
-	if err != nil {
+// NewCollector builds a Collector whose arena runs the given number of
+// workers (≤ 0: one per CPU). A collection invoked with a zero
+// CollectorConfig runs its work units on every arena worker.
+func NewCollector(workers int) (*Collector, error) {
+	if err := (CollectorConfig{Workers: workers}).Validate(); err != nil {
 		return nil, err
 	}
-	return &Collector{arena: NewArena(cfg.Workers), base: cfg}, nil
+	return &Collector{arena: NewArena(workers)}, nil
 }
-
-// Config returns the collector's base configuration as given (without
-// defaults filled).
-func (c *Collector) Config() CollectorConfig { return c.base }
 
 // Workers returns the size of the collector's arena.
 func (c *Collector) Workers() int { return c.arena.Workers() }
@@ -101,16 +94,16 @@ var defaultCollector struct {
 // default configuration. It is never closed.
 func DefaultCollector() *Collector {
 	defaultCollector.once.Do(func() {
-		defaultCollector.c, _ = NewCollector()
+		defaultCollector.c, _ = NewCollector(0)
 	})
 	return defaultCollector.c
 }
 
-// resolve merges a per-call configuration with the collector base and
-// validates it: a zero cfg selects the collector's base configuration.
+// resolve validates a per-call configuration and fills its defaults: a
+// zero cfg runs on every arena worker.
 func (c *Collector) resolve(cfg CollectorConfig) (CollectorConfig, error) {
 	if cfg == (CollectorConfig{}) {
-		cfg = c.base
+		cfg.Workers = c.arena.Workers()
 	}
 	if err := cfg.Validate(); err != nil {
 		return CollectorConfig{}, err

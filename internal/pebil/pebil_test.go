@@ -17,7 +17,7 @@ var fastOpt = CollectorConfig{SampleRefs: 60_000, MaxWarmRefs: 120_000}
 // collectCounters and collect run one collection on a throwaway collector,
 // standing in for the removed package-level convenience functions.
 func collectCounters(ctx context.Context, app *synthapp.App, p int, m machine.Config, cfg CollectorConfig) ([]BlockCounters, error) {
-	c, err := NewCollector()
+	c, err := NewCollector(0)
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +26,7 @@ func collectCounters(ctx context.Context, app *synthapp.App, p int, m machine.Co
 }
 
 func collect(ctx context.Context, app *synthapp.App, p int, m machine.Config, ranks []int, cfg CollectorConfig) (*trace.Signature, error) {
-	c, err := NewCollector()
+	c, err := NewCollector(0)
 	if err != nil {
 		return nil, err
 	}

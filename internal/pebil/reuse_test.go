@@ -14,7 +14,7 @@ import (
 
 // collectReuse runs one reuse collection on a throwaway collector.
 func collectReuse(ctx context.Context, app *synthapp.App, p int, cfg CollectorConfig) (*trace.ReuseSignature, error) {
-	c, err := NewCollector()
+	c, err := NewCollector(0)
 	if err != nil {
 		return nil, err
 	}

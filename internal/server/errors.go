@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"tracex"
+	"tracex/internal/store"
 )
 
 // This file classifies errors into the wire contract. The request and
@@ -57,7 +58,7 @@ func classify(err error) (status int, code string) {
 		return http.StatusTooManyRequests, "overloaded"
 	case errors.Is(err, errNotFound):
 		return http.StatusNotFound, "not_found"
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, store.ErrUncertainty):
 		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, errNoStore):
 		return http.StatusNotImplemented, "no_store"

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -92,15 +93,18 @@ func startFleetCluster(t *testing.T, n int, mode string) []*fleetNode {
 
 // fleetIdentity finds a stencil3d core count whose triple key is owned by
 // the wanted node, so tests can steer an identity onto (or off) a node.
+// The ring depends on the random loopback ports, so the search covers
+// enough small core counts that some node never owning any of them is
+// vanishingly unlikely.
 func fleetIdentity(t *testing.T, nodes []*fleetNode, owner int) (cores int, key string) {
 	t.Helper()
-	for cores := 8; cores <= 16384; cores *= 2 {
+	for cores := 8; cores <= 256; cores += 4 {
 		key := fmt.Sprintf("stencil3d@%d@bluewaters", cores)
 		if nodes[0].flt.Owner(key) == nodes[owner].url {
 			return cores, key
 		}
 	}
-	t.Fatalf("no stencil3d identity owned by node %d in 8..16384 cores", owner)
+	t.Fatalf("no stencil3d identity owned by node %d in 8..256 cores", owner)
 	return 0, ""
 }
 
@@ -432,5 +436,61 @@ func TestFleetReplicationOverWire(t *testing.T) {
 	}
 	if _, ok := eng.Store().LatestEntry("stencil3d", "bluewaters", cores); !ok {
 		t.Errorf("rebuilt node store missing %s after replication", key)
+	}
+}
+
+// TestFleetPeerHonoursCollectOptions pins that the peer tier serves a
+// signature collected under the requested options: the owner already holds
+// the identity at a different sample length, and a non-owner asking for
+// its own sample length must get (and persist) that collection, not the
+// owner's stored one.
+func TestFleetPeerHonoursCollectOptions(t *testing.T) {
+	nodes := startFleetCluster(t, 2, fleet.ModeFetch)
+	cores, _ := fleetIdentity(t, nodes, 0)
+	body := func(sampleRefs int) string {
+		return fmt.Sprintf(`{"app":"stencil3d","cores":%d,"machine":"bluewaters","sample_refs":%d}`, cores, sampleRefs)
+	}
+	// The owner collects and stores the identity at 2000 references.
+	if resp, b := post(t, nodes[0].url+"/v1/predict", body(2000)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner predict: %d %s", resp.StatusCode, b)
+	}
+	// The non-owner asks for 5000 references.
+	resp, b := post(t, nodes[1].url+"/v1/predict", body(5000))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("non-owner predict: %d %s", resp.StatusCode, b)
+	}
+	var pr wire.PredictResponse
+	if err := json.Unmarshal(b, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.From != string(tracex.FromPeer) {
+		t.Errorf("non-owner predict answered from %q, want %q", pr.From, tracex.FromPeer)
+	}
+
+	app, err := tracex.LoadApp("stencil3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := tracex.LoadMachine("bluewaters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(5000, 0)}
+	ref := tracex.NewEngine()
+	defer ref.Close()
+	want, err := ref.CollectSignature(context.Background(), app, cores, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The non-owner's memo holds what the peer tier served.
+	got, prov, err := nodes[1].eng.CollectSignatureFrom(context.Background(), app, cores, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prov != tracex.FromMemory {
+		t.Errorf("repeat on the non-owner came from %q, want memory", prov)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("peer tier served a signature collected under other options")
 	}
 }

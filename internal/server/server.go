@@ -55,6 +55,7 @@ import (
 	"tracex/internal/memo"
 	"tracex/internal/obs"
 	"tracex/internal/pebil"
+	"tracex/internal/store"
 	"tracex/wire"
 )
 
@@ -68,6 +69,7 @@ type Engine interface {
 	CollectSignature(ctx context.Context, app *tracex.App, cores int, target tracex.MachineConfig, opt tracex.CollectOptions) (*tracex.Signature, error)
 	CollectSignatureFrom(ctx context.Context, app *tracex.App, cores int, target tracex.MachineConfig, opt tracex.CollectOptions) (*tracex.Signature, tracex.Provenance, error)
 	Store() *tracex.SignatureStore
+	Import(sig *tracex.Signature) (store.Entry, error)
 	Registry() *obs.Registry
 }
 

@@ -170,8 +170,7 @@ func (s *Server) readSignatureBody(r *http.Request, st *tracex.SignatureStore, h
 // (collected elsewhere, or extrapolated) into the store so later predicts
 // warm-start from disk.
 func (s *Server) storePut(w http.ResponseWriter, r *http.Request) {
-	st, err := s.store()
-	if err != nil {
+	if _, err := s.store(); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -199,8 +198,9 @@ func (s *Server) storePut(w http.ResponseWriter, r *http.Request) {
 			r.PathValue("key"), sig.App, storeKeySep, sig.CoreCount, storeKeySep, sig.Machine))
 		return
 	}
-	cfg, err := lookupMachine(sig.Machine)
-	if err != nil {
+	// Import resolves the machine too; checking it here makes an unknown
+	// machine a 404 before the request takes an admission slot.
+	if _, err := lookupMachine(sig.Machine); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -213,10 +213,7 @@ func (s *Server) storePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	// Imports are filed under the default collection options: the caller is
-	// asserting this signature stands in for a default collection at that
-	// identity, which is exactly what the engine's warm-start consults.
-	entry, err := st.Put(&sig, tracex.StoreKey(sig.App, sig.CoreCount, cfg, tracex.CollectOptions{}))
+	entry, err := s.eng.Import(&sig)
 	if err != nil {
 		s.writeError(w, fmt.Errorf("server: storing signature: %w", err))
 		return

@@ -215,3 +215,55 @@ func TestStoreGetPutRoutes(t *testing.T) {
 		t.Errorf("PUT with mismatched key: %d", badResp.StatusCode)
 	}
 }
+
+// TestStorePutRefusesUncertainty pins that PUT never stores a signature
+// the disk tier would return changed: an extrapolated signature carrying
+// intervals is refused with 400, and nothing lands in the store.
+func TestStorePutRefusesUncertainty(t *testing.T) {
+	app, err := tracex.LoadApp("stencil3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := tracex.LoadMachine("bluewaters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	inputs, err := sharedEng.CollectInputs(ctx, app, []int{64, 128, 256}, m,
+		tracex.CollectOptions{Sampling: tracex.FixedSampling(testSampleRefs, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := sharedEng.Extrapolate(ctx, inputs, 512, tracex.ExtrapOptions{Intervals: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.Signature.Uncertainty == nil {
+		t.Fatal("interval extrapolation carries no uncertainty")
+	}
+	body, err := json.Marshal(ext.Signature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base := newTestServer(t, Config{Engine: storeEngine(t, t.TempDir())})
+	req, err := http.NewRequest("PUT", base+"/v1/signatures/stencil3d@512@bluewaters", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb wire.ErrorBody
+	err = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+		t.Errorf("PUT with uncertainty: %d %+v, want 400 bad_request", resp.StatusCode, eb.Error)
+	}
+	if resp, _ := get(t, base+"/v1/signatures/stencil3d@512@bluewaters"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET after a refused PUT: %d, want 404", resp.StatusCode)
+	}
+}

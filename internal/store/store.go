@@ -241,28 +241,38 @@ func (s *Store) appendManifest(e Entry) error {
 	return s.manifest.Sync()
 }
 
+// ErrUncertainty reports a Put of a signature carrying uncertainty, which
+// the binary codec does not persist: storing it would silently return the
+// signature without its intervals on the next read.
+var ErrUncertainty = errors.New("store: the binary codec does not persist signature uncertainty")
+
 // Put encodes the signature, writes it as a content-addressed object
 // (write to a temp file, fsync, rename — a crash leaves either the old
 // state or the new, never a half-written visible object) and appends a
 // manifest entry binding key to it. Re-putting identical content is
 // deduplicated at the object layer. The key's Kind is forced to
-// KindSignature.
+// KindSignature. A signature carrying uncertainty is refused with
+// ErrUncertainty.
 func (s *Store) Put(sig *trace.Signature, key Key) (Entry, error) {
-	if err := sig.Validate(); err != nil {
-		return Entry{}, err
+	if sig.Uncertainty != nil {
+		return Entry{}, ErrUncertainty
 	}
-	key.Kind = KindSignature
-	return s.putObject(key, func(w io.Writer) error { return Encode(w, sig) })
+	return put(s, key, KindSignature, sig, Encode)
 }
 
 // PutReuse stores a machine-independent reuse-distance signature under key
 // (Kind forced to KindReuse), with the same durability guarantees as Put.
 func (s *Store) PutReuse(rs *trace.ReuseSignature, key Key) (Entry, error) {
-	if err := rs.Validate(); err != nil {
+	return put(s, key, KindReuse, rs, EncodeReuse)
+}
+
+// put validates v and files it under key as an object of the given kind.
+func put[V interface{ Validate() error }](s *Store, key Key, kind string, v V, encode func(io.Writer, V) error) (Entry, error) {
+	if err := v.Validate(); err != nil {
 		return Entry{}, err
 	}
-	key.Kind = KindReuse
-	return s.putObject(key, func(w io.Writer) error { return EncodeReuse(w, rs) })
+	key.Kind = kind
+	return s.putObject(key, func(w io.Writer) error { return encode(w, v) })
 }
 
 // putObject writes one encoded object and its manifest entry.
@@ -318,48 +328,36 @@ func (s *Store) putObject(key Key, encode func(io.Writer) error) (Entry, error) 
 // dropped, and (nil, false, err) returned — callers treat that exactly
 // like a miss and re-collect.
 func (s *Store) Get(key Key) (*trace.Signature, bool, error) {
-	key.Kind = KindSignature
-	s.mu.Lock()
-	e, ok := s.index[key]
-	s.mu.Unlock()
-	if !ok {
-		s.misses.Inc()
-		return nil, false, nil
-	}
-	sig, err := s.readObject(e.Hash)
-	if err != nil {
-		s.dropEntry(key)
-		s.misses.Inc()
-		return nil, false, err
-	}
-	s.hits.Inc()
-	return sig, true, nil
+	return get(s, key, KindSignature, Decode)
 }
 
 // GetReuse returns the reuse-distance signature stored under key (Kind
 // forced to KindReuse), with Get's miss and quarantine semantics.
 func (s *Store) GetReuse(key Key) (*trace.ReuseSignature, bool, error) {
-	key.Kind = KindReuse
+	return get(s, key, KindReuse, DecodeReuse)
+}
+
+// get resolves key (as the given kind) through the index and decodes its
+// object, dropping the entry and counting a miss when the object is gone
+// or corrupt.
+func get[V any](s *Store, key Key, kind string, decode func(io.Reader) (V, error)) (V, bool, error) {
+	key.Kind = kind
 	s.mu.Lock()
 	e, ok := s.index[key]
 	s.mu.Unlock()
 	if !ok {
 		s.misses.Inc()
-		return nil, false, nil
+		var zero V
+		return zero, false, nil
 	}
-	var rs *trace.ReuseSignature
-	err := s.readInto(e.Hash, func(r io.Reader) error {
-		var err error
-		rs, err = DecodeReuse(r)
-		return err
-	})
+	v, err := readObject(s, e.Hash, decode)
 	if err != nil {
 		s.dropEntry(key)
 		s.misses.Inc()
-		return nil, false, err
+		return v, false, err
 	}
 	s.hits.Inc()
-	return rs, true, nil
+	return v, true, nil
 }
 
 // GetHash returns the signature stored under a content hash, regardless of
@@ -368,7 +366,7 @@ func (s *Store) GetHash(hash string) (*trace.Signature, error) {
 	if len(hash) != 2*sha256.Size {
 		return nil, fmt.Errorf("store: malformed content hash %q", hash)
 	}
-	sig, err := s.readObject(hash)
+	sig, err := readObject(s, hash, Decode)
 	if err != nil {
 		return nil, err
 	}
@@ -376,41 +374,27 @@ func (s *Store) GetHash(hash string) (*trace.Signature, error) {
 	return sig, nil
 }
 
-// readObject opens, decodes and checks one trace-signature object file,
-// quarantining it on corruption.
-func (s *Store) readObject(hash string) (*trace.Signature, error) {
-	var sig *trace.Signature
-	err := s.readInto(hash, func(r io.Reader) error {
-		var err error
-		sig, err = Decode(r)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sig, nil
-}
-
-// readInto opens one object file and runs decode over it, quarantining the
+// readObject opens one object file and decodes it, quarantining the
 // object when decode reports corruption. An ErrWrongKind failure (a healthy
 // object of the other kind) is an error but never quarantines.
-func (s *Store) readInto(hash string, decode func(io.Reader) error) error {
+func readObject[V any](s *Store, hash string, decode func(io.Reader) (V, error)) (V, error) {
+	var zero V
 	path := s.objectPath(hash)
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("store: opening object %s: %w", path, err)
+		return zero, fmt.Errorf("store: opening object %s: %w", path, err)
 	}
 	defer f.Close()
 	cr := &countReader{r: f}
-	err = decode(cr)
+	v, err := decode(cr)
 	s.bytesRead.Add(uint64(cr.n))
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
 			s.quarantine(path)
 		}
-		return fmt.Errorf("store: object %s: %w", path, err)
+		return zero, fmt.Errorf("store: object %s: %w", path, err)
 	}
-	return nil
+	return v, nil
 }
 
 // quarantine moves a corrupt object out of the objects tree so the next
@@ -485,13 +469,10 @@ func (s *Store) Latest(app, machine string, cores int) (*trace.Signature, Entry,
 		s.misses.Inc()
 		return nil, Entry{}, false, nil
 	}
-	sig, err := s.readObject(best.Hash)
-	if err != nil {
-		s.dropEntry(best.key())
-		s.misses.Inc()
+	sig, ok, err := s.Get(best.key())
+	if !ok {
 		return nil, Entry{}, false, err
 	}
-	s.hits.Inc()
 	return sig, best, true, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tracex/internal/obs"
+	"tracex/internal/trace"
 )
 
 // testKey is a fixed logical identity for store tests.
@@ -323,5 +324,20 @@ func TestStoreClosedOperations(t *testing.T) {
 	}
 	if _, err := st.GC(); err == nil {
 		t.Error("GC on a closed store succeeded")
+	}
+}
+
+// TestStorePutRefusesUncertainty pins that the disk tier never silently
+// drops uncertainty: the binary codec cannot carry it, so Put refuses the
+// signature with ErrUncertainty and stores nothing.
+func TestStorePutRefusesUncertainty(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	sig := genSignature(rand.New(rand.NewSource(5)))
+	sig.Uncertainty = &trace.SignatureUncertainty{Dof: 2, Blocks: []trace.BlockUncertainty{{ID: 1, Vars: []float64{0.1}}}}
+	if _, err := st.Put(sig, testKey); !errors.Is(err, ErrUncertainty) {
+		t.Fatalf("Put of a signature with uncertainty: err = %v, want ErrUncertainty", err)
+	}
+	if n := st.Len(); n != 0 {
+		t.Errorf("refused Put left %d manifest entries", n)
 	}
 }

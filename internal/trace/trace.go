@@ -281,12 +281,12 @@ type Signature struct {
 	CoreCount int     `json:"core_count"`
 	Machine   string  `json:"machine"`
 	Traces    []Trace `json:"traces"`
-	// Uncertainty carries per-element predictive variances when the
-	// signature was synthesized by an uncertainty-aware extrapolation
-	// (extrap.Options.Intervals); nil for collected signatures. It rides
-	// the JSON encoding (omitted when absent, so collected signatures
-	// encode exactly as before) but not the binary store codec: stored
-	// signatures are collected ones, which never carry it.
+	// Uncertainty carries per-element variances: the predictive variances
+	// of an uncertainty-aware extrapolation (extrap.Options.Intervals), or
+	// the sampling variances of an adaptive collection; nil for
+	// fixed-policy collections. It rides the JSON encoding (omitted when
+	// absent, so other signatures encode exactly as before) but not the
+	// binary store codec, whose Put refuses a signature carrying it.
 	Uncertainty *SignatureUncertainty `json:"uncertainty,omitempty"`
 }
 
