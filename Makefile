@@ -26,12 +26,14 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the signature and reuse codecs, the wire strict
-# decoder and the replay plan compiler (CI runs the same smoke).
+# decoder, the replay plan compiler and the sampling-policy grammar (CI runs
+# the same smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzReuseDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./wire
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime 10s ./internal/psins
+	$(GO) test -run '^$$' -fuzz FuzzParseSamplingPolicy -fuzztime 10s ./internal/pebil
 
 # One iteration of every exhibit benchmark (Table/Figure regeneration).
 bench:

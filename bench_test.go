@@ -18,7 +18,7 @@ import (
 // benchConfig keeps per-iteration cost moderate while preserving the
 // steady-state warm-up that the multi-megabyte random regions need.
 var benchConfig = expt.Config{
-	Collect: tracex.CollectOptions{SampleRefs: 150_000, MaxWarmRefs: 1_000_000},
+	Collect: tracex.CollectOptions{Sampling: tracex.FixedSampling(150_000, 1_000_000)},
 }
 
 var printOnce sync.Map
@@ -93,7 +93,7 @@ func BenchmarkTable3(b *testing.B) {
 // the two-level Opteron.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := expt.Figure1()
+		rows, err := expt.Figure1(benchConfig)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,11 +2,11 @@ package tracex
 
 import (
 	"context"
+	"fmt"
 
 	"tracex/internal/cache"
 	"tracex/internal/calibrate"
 	"tracex/internal/memsim"
-	"tracex/internal/pebil"
 )
 
 // Machine-calibration re-exports: solving the machine-profile inverse
@@ -44,8 +44,28 @@ func CalibrateMachine(cfg MachineConfig, obs []Observation, params []MachinePara
 // cache accounting paired with its detailed-model execution time. In a
 // real deployment the times would come from hardware measurement; here the
 // detailed simulator plays that role.
+//
+// It is a wrapper over Engine.ObserveBlocks on the default Engine with
+// context.Background().
 func ObserveBlocks(app *App, cores int, cfg MachineConfig, opt CollectOptions) ([]Observation, error) {
-	counters, err := pebil.DefaultCollector().Counters(context.Background(), app, cores, cfg, opt)
+	return DefaultEngine().ObserveBlocks(context.Background(), app, cores, cfg, opt)
+}
+
+// ObserveBlocks produces the package-level ObserveBlocks observations on
+// the engine's collector arena. A zero opt selects the engine's default
+// collection options; cancelling ctx stops the simulation and returns
+// ctx.Err().
+func (e *Engine) ObserveBlocks(ctx context.Context, app *App, cores int, cfg MachineConfig, opt CollectOptions) ([]Observation, error) {
+	if err := e.usable(); err != nil {
+		return nil, err
+	}
+	if opt == (CollectOptions{}) {
+		opt = e.collectOpt
+	}
+	ctx = e.obsCtx(ctx)
+	sp := e.reg.StartSpan("engine.observe", fmt.Sprintf("%s@%d", appName(app), cores))
+	defer sp.End()
+	counters, err := e.collector.Counters(ctx, app, cores, cfg, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,8 @@
 //
 // Usage:
 //
-//	experiments -run all
-//	experiments -run table1 [-sample 400000] [-warm 2000000]
-//	experiments -run table2|table3|figure1|figure3|figure4|figure5|claim
-//	experiments -run ablation-forms|ablation-inputs|ablation-clustering|ablation-sample
-//	experiments -run weak-scaling|comm-extrap|energy-dvfs
+//	experiments -run all [-sample 400000] [-warm 2000000] [-csv DIR]
+//	experiments -run NAME  (see -help for the experiment names)
 package main
 
 import (
@@ -27,7 +24,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run (all, table1, table2, table3, figure1, figure3, figure4, figure5, claim, ablation-forms, ablation-inputs, ablation-clustering, ablation-sample)")
+	run := flag.String("run", "all", "experiment to run (all, "+strings.Join(runnerOrder(), ", ")+")")
 	sample := flag.Int("sample", 0, "per-block simulated references (0 = default)")
 	warm := flag.Int("warm", 0, "per-block warm-up cap (0 = default)")
 	flag.StringVar(&csvDir, "csv", "", "also write each exhibit's rows as CSV into this directory")
@@ -35,7 +32,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	cfg := expt.Config{Ctx: ctx, Collect: pebil.CollectorConfig{SampleRefs: *sample, MaxWarmRefs: *warm}}
+	cfg := expt.Config{Ctx: ctx, Collect: pebil.CollectorConfig{Sampling: pebil.FixedSampling(*sample, *warm)}}
 	runners := runnerMap()
 	order := runnerOrder()
 	if *run == "all" {
@@ -65,7 +62,7 @@ func runnerMap() map[string]func(expt.Config) error {
 		"table1":  table1,
 		"table2":  table2,
 		"table3":  table3,
-		"figure1": func(expt.Config) error { return figure1() },
+		"figure1": figure1,
 		"figure3": figure3,
 		"figure4": func(c expt.Config) error {
 			return figure45(c, expt.Figure4, "Figure 4: L2 hit rate of uh3d/current_deposit")
@@ -146,8 +143,8 @@ func table3(cfg expt.Config) error {
 	return csvTable3(rows)
 }
 
-func figure1() error {
-	rows, err := expt.Figure1()
+func figure1(cfg expt.Config) error {
+	rows, err := expt.Figure1(cfg)
 	if err != nil {
 		return err
 	}

@@ -9,9 +9,10 @@ import (
 	"tracex/internal/pebil"
 )
 
-// fastCfg keeps the experiment smoke tests cheap; the expt package's
-// process-wide memoization makes repeated runs nearly free.
-var fastCfg = expt.Config{Collect: pebil.CollectorConfig{SampleRefs: 60_000, MaxWarmRefs: 400_000}}
+// fastCfg keeps the experiment smoke tests cheap; the expt package runs
+// every experiment on one engine with unbounded caches, so repeated runs
+// are nearly free.
+var fastCfg = expt.Config{Collect: pebil.CollectorConfig{Sampling: pebil.FixedSampling(60_000, 400_000)}}
 
 func TestRunnersCoverEveryExperiment(t *testing.T) {
 	// The -run dispatcher and the ordered list must agree.
@@ -26,7 +27,7 @@ func TestRunnersCoverEveryExperiment(t *testing.T) {
 }
 
 func TestFigure1Runner(t *testing.T) {
-	if err := figure1(); err != nil {
+	if err := figure1(fastCfg); err != nil {
 		t.Fatalf("figure1: %v", err)
 	}
 }

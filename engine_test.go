@@ -77,6 +77,9 @@ func TestEngineClose(t *testing.T) {
 	if _, err := e.Measure(ctx, app, 64, cfg, smallOpt); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("Measure after Close: %v, want ErrEngineClosed", err)
 	}
+	if _, err := e.ObserveBlocks(ctx, app, 64, cfg, smallOpt); !errors.Is(err, ErrEngineClosed) {
+		t.Errorf("ObserveBlocks after Close: %v, want ErrEngineClosed", err)
+	}
 	if _, err := e.Study(ctx, StudyRequest{}); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("Study after Close: %v, want ErrEngineClosed", err)
 	}
@@ -222,6 +225,9 @@ func TestEngineCancelledContext(t *testing.T) {
 	}
 	if _, err := e.Measure(ctx, app, 64, cfg, smallOpt); !errors.Is(err, context.Canceled) {
 		t.Errorf("Measure on cancelled ctx: %v", err)
+	}
+	if _, err := e.ObserveBlocks(ctx, app, 64, cfg, smallOpt); !errors.Is(err, context.Canceled) {
+		t.Errorf("ObserveBlocks on cancelled ctx: %v", err)
 	}
 }
 

@@ -13,13 +13,24 @@ import (
 	"tracex/internal/synthapp"
 )
 
+// testCollector returns a collector released when the test ends.
+func testCollector(t *testing.T) *pebil.Collector {
+	t.Helper()
+	col, err := pebil.NewCollector(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(col.Close)
+	return col
+}
+
 func TestClusterRanksGroupsLoadClasses(t *testing.T) {
 	// Collect a signature with one trace per load class plus duplicates;
 	// clustering with k = classes must group identical-class ranks.
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
 	// Ranks 0..7 cover each of the 4 classes twice (round-robin).
-	sig, err := pebil.DefaultCollector().Collect(context.Background(), app, 1024, bw, []int{0, 1, 2, 3, 4, 5, 6, 7},
+	sig, err := testCollector(t).Collect(context.Background(), app, 1024, bw, []int{0, 1, 2, 3, 4, 5, 6, 7},
 		pebil.CollectorConfig{SampleRefs: 50_000, MaxWarmRefs: 100_000})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
@@ -55,7 +66,7 @@ func TestClusterRanksGroupsLoadClasses(t *testing.T) {
 func TestClusterRanksValidation(t *testing.T) {
 	app := synthapp.Stencil3D()
 	bw := machine.BlueWatersP1()
-	sig, err := pebil.DefaultCollector().Collect(context.Background(), app, 64, bw, []int{0, 1},
+	sig, err := testCollector(t).Collect(context.Background(), app, 64, bw, []int{0, 1},
 		pebil.CollectorConfig{SampleRefs: 20_000, MaxWarmRefs: 50_000})
 	if err != nil {
 		t.Fatal(err)

@@ -34,8 +34,14 @@ func testSetup(t *testing.T) (*trace.Trace, *psins.Computation, machine.Config) 
 			setupErr = err
 			return
 		}
+		col, err := pebil.NewCollector(0)
+		if err != nil {
+			setupErr = err
+			return
+		}
+		defer col.Close()
 		app := synthapp.Stencil3D()
-		sig, err := pebil.DefaultCollector().Collect(context.Background(), app, 64, setupCfg, []int{0},
+		sig, err := col.Collect(context.Background(), app, 64, setupCfg, []int{0},
 			pebil.CollectorConfig{SampleRefs: 60_000, MaxWarmRefs: 200_000})
 		if err != nil {
 			setupErr = err

@@ -2,11 +2,11 @@ package expt
 
 import (
 	"fmt"
-	"math"
 
 	"tracex"
 	"tracex/internal/cluster"
 	"tracex/internal/extrap"
+	"tracex/internal/pebil"
 	"tracex/internal/psins"
 	"tracex/internal/stats"
 	"tracex/internal/synthapp"
@@ -52,7 +52,7 @@ func FormSetOrder() []string {
 // canonical forms available to the fitter (the paper's future work proposes
 // adding polynomial forms to push the <20 % element error further down).
 func AblationForms(cfg Config) ([]FormsAblationRow, error) {
-	target := TargetMachine()
+	ctx, target := cfg.context(), TargetMachine()
 	sets := FormSets()
 	var rows []FormsAblationRow
 	for _, spec := range PaperSpecs() {
@@ -60,37 +60,25 @@ func AblationForms(cfg Config) ([]FormsAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, cfg.Collect)
+		inputs, err := engine().CollectInputs(ctx, app, spec.InputCounts, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
-		truth, err := collectSig(cfg.context(), app, spec.TargetCount, target, cfg.Collect, []int{0})
+		truth, err := engine().CollectSignature(ctx, app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
 		for _, name := range FormSetOrder() {
 			opt := extrap.Options{Forms: sets[name], CrossValidate: name == cvFormSet}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, opt)
+			res, err := engine().Extrapolate(ctx, inputs, spec.TargetCount, opt)
 			if err != nil {
 				return nil, fmt.Errorf("expt: %s with forms %q: %w", spec.App, name, err)
 			}
-			errs, err := extrap.Compare(&res.Signature.Traces[0], &truth.Traces[0])
+			in, err := compareTruth(res.Signature, truth)
 			if err != nil {
 				return nil, err
 			}
-			infl := extrap.InfluentialErrors(errs)
-			row := FormsAblationRow{App: spec.App, FormSet: name}
-			var sum float64
-			for _, e := range infl {
-				sum += e.AbsRelErr
-				if e.AbsRelErr > row.MaxError {
-					row.MaxError = e.AbsRelErr
-				}
-			}
-			if len(infl) > 0 {
-				row.MeanErr = sum / float64(len(infl))
-			}
-			rows = append(rows, row)
+			rows = append(rows, FormsAblationRow{App: spec.App, FormSet: name, MaxError: in.max, MeanErr: in.mean})
 		}
 	}
 	return rows, nil
@@ -109,7 +97,7 @@ type InputCountAblationRow struct {
 // counts (the paper notes that three "generally provided adequate
 // accuracy").
 func AblationInputCounts(cfg Config) ([]InputCountAblationRow, error) {
-	target := TargetMachine()
+	ctx, target := cfg.context(), TargetMachine()
 	series := map[string][][]int{
 		"specfem3d": {
 			{96, 384},
@@ -130,36 +118,24 @@ func AblationInputCounts(cfg Config) ([]InputCountAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		truth, err := collectSig(cfg.context(), app, spec.TargetCount, target, cfg.Collect, []int{0})
+		truth, err := engine().CollectSignature(ctx, app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
 		for _, counts := range series[spec.App] {
-			inputs, err := collectInputs(cfg.context(), app, counts, target, cfg.Collect)
+			inputs, err := engine().CollectInputs(ctx, app, counts, target, cfg.Collect)
 			if err != nil {
 				return nil, err
 			}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{MinInputs: 2})
+			res, err := engine().Extrapolate(ctx, inputs, spec.TargetCount, extrap.Options{MinInputs: 2})
 			if err != nil {
 				return nil, err
 			}
-			errs, err := extrap.Compare(&res.Signature.Traces[0], &truth.Traces[0])
+			in, err := compareTruth(res.Signature, truth)
 			if err != nil {
 				return nil, err
 			}
-			infl := extrap.InfluentialErrors(errs)
-			row := InputCountAblationRow{App: spec.App, Inputs: counts}
-			var sum float64
-			for _, e := range infl {
-				sum += e.AbsRelErr
-				if e.AbsRelErr > row.MaxError {
-					row.MaxError = e.AbsRelErr
-				}
-			}
-			if len(infl) > 0 {
-				row.MeanErr = sum / float64(len(infl))
-			}
-			rows = append(rows, row)
+			rows = append(rows, InputCountAblationRow{App: spec.App, Inputs: counts, MaxError: in.max, MeanErr: in.mean})
 		}
 	}
 	return rows, nil
@@ -186,8 +162,8 @@ type ClusteringAblationRow struct {
 //   - "clustered": each rank priced from its cluster's extrapolated
 //     centroid trace (the future-work proposal).
 func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
-	target := TargetMachine()
-	prof, err := buildProfile(cfg.context(), target)
+	ctx, target := cfg.context(), TargetMachine()
+	prof, err := engine().Profile(ctx, target)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +178,7 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 			return nil, err
 		}
 		// Collect all load classes at every input count.
-		inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, cfg.Collect)
+		inputs, err := engine().CollectInputs(ctx, app, spec.InputCounts, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +220,7 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 					return nil, fmt.Errorf("expt: representative rank %d missing at %d cores", rep, sig.CoreCount)
 				}
 			}
-			res, err := tracex.Extrapolate(sub, spec.TargetCount, extrap.Options{})
+			res, err := engine().Extrapolate(ctx, sub, spec.TargetCount, extrap.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -258,7 +234,11 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		measured, err := tracex.Measure(app, spec.TargetCount, target, cfg.Collect)
+		plan, err := psins.Compile(prog)
+		if err != nil {
+			return nil, err
+		}
+		measured, err := engine().Measure(ctx, app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -289,7 +269,7 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 			{"uniform", uniform},
 			{"clustered", clustered},
 		} {
-			res, err := psins.Replay(prog, net, s.cost)
+			res, err := plan.Replay(ctx, net, s.cost, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -298,7 +278,7 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 				Strategy: s.name,
 				Runtime:  res.Runtime,
 				Measured: measured.Runtime,
-				PctError: 100 * math.Abs(res.Runtime-measured.Runtime) / measured.Runtime,
+				PctError: pctErr(res.Runtime, measured.Runtime),
 			})
 		}
 	}
@@ -319,7 +299,7 @@ type DistanceAblationRow struct {
 // extrapolation distance: the paper extrapolates 4× (SPECFEM3D) and 2×
 // (UH3D) beyond the largest input; this ablation pushes to 8× and beyond.
 func AblationDistance(cfg Config) ([]DistanceAblationRow, error) {
-	target := TargetMachine()
+	ctx, target := cfg.context(), TargetMachine()
 	factors := []int{2, 4, 8}
 	var rows []DistanceAblationRow
 	for _, spec := range PaperSpecs() {
@@ -327,7 +307,7 @@ func AblationDistance(cfg Config) ([]DistanceAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, cfg.Collect)
+		inputs, err := engine().CollectInputs(ctx, app, spec.InputCounts, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -338,31 +318,21 @@ func AblationDistance(cfg Config) ([]DistanceAblationRow, error) {
 			if tgt > maxCores {
 				continue
 			}
-			res, err := tracex.Extrapolate(inputs, tgt, extrap.Options{})
+			res, err := engine().Extrapolate(ctx, inputs, tgt, extrap.Options{})
 			if err != nil {
 				return nil, err
 			}
-			truth, err := collectSig(cfg.context(), app, tgt, target, cfg.Collect, []int{0})
+			truth, err := engine().CollectSignature(ctx, app, tgt, target, cfg.Collect)
 			if err != nil {
 				return nil, err
 			}
-			errs, err := extrap.Compare(&res.Signature.Traces[0], &truth.Traces[0])
+			in, err := compareTruth(res.Signature, truth)
 			if err != nil {
 				return nil, err
 			}
-			infl := extrap.InfluentialErrors(errs)
-			row := DistanceAblationRow{App: spec.App, Target: tgt, Factor: float64(f)}
-			var sum float64
-			for _, e := range infl {
-				sum += e.AbsRelErr
-				if e.AbsRelErr > row.MaxError {
-					row.MaxError = e.AbsRelErr
-				}
-			}
-			if len(infl) > 0 {
-				row.MeanErr = sum / float64(len(infl))
-			}
-			rows = append(rows, row)
+			rows = append(rows, DistanceAblationRow{
+				App: spec.App, Target: tgt, Factor: float64(f), MaxError: in.max, MeanErr: in.mean,
+			})
 		}
 	}
 	return rows, nil
@@ -377,12 +347,13 @@ type SampleAblationRow struct {
 }
 
 // AblationSampleSize measures how the per-block simulation sample length
-// trades collection cost against extrapolated-element accuracy.
+// trades collection cost against extrapolated-element accuracy. Each size
+// runs as a fixed sampling policy keeping cfg's warm-up cap.
 func AblationSampleSize(cfg Config, samples []int) ([]SampleAblationRow, error) {
 	if len(samples) == 0 {
 		samples = []int{25_000, 50_000, 100_000, 200_000, 400_000}
 	}
-	target := TargetMachine()
+	ctx, target := cfg.context(), TargetMachine()
 	var rows []SampleAblationRow
 	for _, spec := range PaperSpecs() {
 		app, err := synthapp.ByName(spec.App)
@@ -391,28 +362,25 @@ func AblationSampleSize(cfg Config, samples []int) ([]SampleAblationRow, error) 
 		}
 		for _, s := range samples {
 			opt := cfg.Collect
-			opt.SampleRefs = s
-			inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, opt)
+			opt.Sampling = pebil.FixedSampling(s, cfg.Collect.EffectiveSampling().MaxWarmRefs)
+			opt.SampleRefs, opt.MaxWarmRefs = 0, 0
+			inputs, err := engine().CollectInputs(ctx, app, spec.InputCounts, target, opt)
 			if err != nil {
 				return nil, err
 			}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+			res, err := engine().Extrapolate(ctx, inputs, spec.TargetCount, extrap.Options{})
 			if err != nil {
 				return nil, err
 			}
-			truth, err := collectSig(cfg.context(), app, spec.TargetCount, target, opt, []int{0})
+			truth, err := engine().CollectSignature(ctx, app, spec.TargetCount, target, opt)
 			if err != nil {
 				return nil, err
 			}
-			errs, err := extrap.Compare(&res.Signature.Traces[0], &truth.Traces[0])
+			in, err := compareTruth(res.Signature, truth)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, SampleAblationRow{
-				App:        spec.App,
-				SampleRefs: s,
-				MaxError:   extrap.MaxInfluentialError(errs),
-			})
+			rows = append(rows, SampleAblationRow{App: spec.App, SampleRefs: s, MaxError: in.max})
 		}
 	}
 	return rows, nil
@@ -436,18 +404,14 @@ type CollectionModeRow struct {
 // (the paper's Figure 2 pipeline shape, where blocks contend for capacity):
 // does the extrapolation methodology care how the signatures were measured?
 func AblationCollectionMode(cfg Config) ([]CollectionModeRow, error) {
-	target := TargetMachine()
-	prof, err := buildProfile(cfg.context(), target)
-	if err != nil {
-		return nil, err
-	}
+	ctx, target := cfg.context(), TargetMachine()
 	var rows []CollectionModeRow
 	for _, spec := range PaperSpecs() {
 		app, err := synthapp.ByName(spec.App)
 		if err != nil {
 			return nil, err
 		}
-		measured, err := tracex.Measure(app, spec.TargetCount, target, cfg.Collect)
+		measured, err := engine().Measure(ctx, app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -460,31 +424,23 @@ func AblationCollectionMode(cfg Config) ([]CollectionModeRow, error) {
 		} {
 			opt := cfg.Collect
 			opt.SharedHierarchy = mode.shared
-			inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, opt)
+			res, err := engine().Study(ctx, tracex.StudyRequest{
+				App: app, Machine: target, InputCounts: spec.InputCounts,
+				TargetCores: spec.TargetCount, Collect: opt, WithTruth: true,
+			})
 			if err != nil {
 				return nil, err
 			}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
-			if err != nil {
-				return nil, err
-			}
-			truth, err := collectSig(cfg.context(), app, spec.TargetCount, target, opt, []int{0})
-			if err != nil {
-				return nil, err
-			}
-			errs, err := extrap.Compare(&res.Signature.Traces[0], &truth.Traces[0])
-			if err != nil {
-				return nil, err
-			}
-			pred, err := predictSig(cfg.context(), res.Signature, prof, app)
+			t := res.Targets[0]
+			in, err := compareTruth(t.Extrapolation.Signature, t.Truth)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, CollectionModeRow{
 				App:        spec.App,
 				Mode:       mode.name,
-				MaxError:   extrap.MaxInfluentialError(errs),
-				PredErrPct: 100 * math.Abs(pred.Runtime-measured.Runtime) / measured.Runtime,
+				MaxError:   in.max,
+				PredErrPct: pctErr(t.Extrapolated.Runtime, measured.Runtime),
 			})
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"tracex"
 	"tracex/internal/extrap"
@@ -36,6 +37,14 @@ func (c Config) context() context.Context {
 	return context.Background()
 }
 
+// engine is the one tracex.Engine every experiment runs on. The experiments
+// share inputs heavily (Table I, the §IV claim and every ablation trace the
+// same paper-scale runs), so its caches are unbounded: each profile,
+// signature and replay plan is simulated once per process.
+var engine = sync.OnceValue(func() *tracex.Engine {
+	return tracex.NewEngine(tracex.WithCacheSize(-1))
+})
+
 // Spec pins the paper's experimental setup for one application.
 type Spec struct {
 	App         string
@@ -58,6 +67,60 @@ func PaperSpecs() []Spec {
 // evaluation.
 func TargetMachine() machine.Config { return machine.BlueWatersP1() }
 
+// pctErr is the percentage error of a predicted runtime against the
+// measured one.
+func pctErr(predicted, measured float64) float64 {
+	return 100 * math.Abs(predicted-measured) / measured
+}
+
+// influence summarizes the element errors of an extrapolated trace against
+// the collected one over the influential blocks (>0.1 % of memory
+// operations).
+type influence struct {
+	elements, influential int
+	max, mean             float64
+	worst                 string // block/element of the max error
+}
+
+// compareTruth compares the rank-0 traces of an extrapolated and a
+// collected signature.
+func compareTruth(extrapolated, truth *trace.Signature) (influence, error) {
+	errs, err := extrap.Compare(&extrapolated.Traces[0], &truth.Traces[0])
+	if err != nil {
+		return influence{}, err
+	}
+	infl := extrap.InfluentialErrors(errs)
+	r := influence{elements: len(errs), influential: len(infl)}
+	var sum float64
+	for _, e := range infl {
+		sum += e.AbsRelErr
+		if e.AbsRelErr > r.max {
+			r.max = e.AbsRelErr
+			r.worst = e.Func + "/" + e.Element
+		}
+	}
+	if len(infl) > 0 {
+		r.mean = sum / float64(len(infl))
+	}
+	return r, nil
+}
+
+// rank0Block collects app at p cores and returns the named block of the
+// dominant rank's trace.
+func rank0Block(ctx context.Context, app *synthapp.App, p int, target machine.Config, opt pebil.CollectorConfig, blockFunc string) (*trace.Block, error) {
+	sig, err := engine().CollectSignature(ctx, app, p, target, opt)
+	if err != nil {
+		return nil, err
+	}
+	tr := &sig.Traces[0]
+	for i := range tr.Blocks {
+		if tr.Blocks[i].Func == blockFunc {
+			return &tr.Blocks[i], nil
+		}
+	}
+	return nil, fmt.Errorf("expt: block %q missing at %d cores on %s", blockFunc, p, target.Name)
+}
+
 // Table1Row is one line of Table I: the runtime predicted from one kind of
 // trace, against the measured runtime.
 type Table1Row struct {
@@ -74,51 +137,39 @@ type Table1Row struct {
 // actually-collected trace — and compare both against the detailed
 // simulation's measured runtime.
 func Table1(cfg Config) ([]Table1Row, error) {
-	target := TargetMachine()
-	prof, err := buildProfile(cfg.context(), target)
-	if err != nil {
-		return nil, err
-	}
+	ctx, target := cfg.context(), TargetMachine()
 	var rows []Table1Row
 	for _, spec := range PaperSpecs() {
 		app, err := synthapp.ByName(spec.App)
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, cfg.Collect)
+		res, err := engine().Study(ctx, tracex.StudyRequest{
+			App: app, Machine: target, InputCounts: spec.InputCounts,
+			TargetCores: spec.TargetCount, Collect: cfg.Collect, WithTruth: true,
+		})
 		if err != nil {
 			return nil, err
 		}
-		res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+		measured, err := engine().Measure(ctx, app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
-		collected, err := collectSig(cfg.context(), app, spec.TargetCount, target, cfg.Collect, nil)
-		if err != nil {
-			return nil, err
-		}
-		measured, err := tracex.Measure(app, spec.TargetCount, target, cfg.Collect)
-		if err != nil {
-			return nil, err
-		}
+		t := res.Targets[0]
 		for _, tc := range []struct {
 			kind string
-			sig  *trace.Signature
+			pred *tracex.Prediction
 		}{
-			{"Extrap.", res.Signature},
-			{"Coll.", collected},
+			{"Extrap.", t.Extrapolated},
+			{"Coll.", t.Collected},
 		} {
-			pred, err := predictSig(cfg.context(), tc.sig, prof, app)
-			if err != nil {
-				return nil, fmt.Errorf("expt: predicting %s from %s trace: %w", spec.App, tc.kind, err)
-			}
 			rows = append(rows, Table1Row{
 				App:       spec.App,
 				CoreCount: spec.TargetCount,
 				TraceType: tc.kind,
-				Predicted: pred.Runtime,
+				Predicted: tc.pred.Runtime,
 				Measured:  measured.Runtime,
-				PctError:  100 * math.Abs(pred.Runtime-measured.Runtime) / measured.Runtime,
+				PctError:  pctErr(tc.pred.Runtime, measured.Runtime),
 			})
 		}
 	}
@@ -140,25 +191,14 @@ func Table2(cfg Config) ([]Table2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	target := TargetMachine()
 	var rows []Table2Row
 	for _, p := range []int{1024, 2048, 4096, 8192} {
-		counters, err := collectCounters(cfg.context(), app, p, target, cfg.Collect)
+		blk, err := rank0Block(cfg.context(), app, p, TargetMachine(), cfg.Collect, "field_update")
 		if err != nil {
 			return nil, err
 		}
-		found := false
-		for _, bc := range counters {
-			if bc.Spec.Func != "field_update" {
-				continue
-			}
-			r := bc.Counters.CumulativeHitRates()
-			rows = append(rows, Table2Row{CoreCount: p, L1: 100 * r[0], L2: 100 * r[1], L3: 100 * r[2]})
-			found = true
-		}
-		if !found {
-			return nil, fmt.Errorf("expt: field_update block missing at %d cores", p)
-		}
+		r := blk.FV.HitRates
+		rows = append(rows, Table2Row{CoreCount: p, L1: 100 * r[0], L2: 100 * r[1], L3: 100 * r[2]})
 	}
 	return rows, nil
 }
@@ -180,7 +220,6 @@ func Table3(cfg Config) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	sysA, sysB := machine.SystemA12KB(), machine.SystemB56KB()
 	var rows []Table3Row
 	for _, p := range []int{96, 384, 1536, 6144} {
 		row := Table3Row{CoreCount: p}
@@ -188,23 +227,14 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			cfg  machine.Config
 			dest *float64
 		}{
-			{sysA, &row.SystemA},
-			{sysB, &row.SystemB},
+			{machine.SystemA12KB(), &row.SystemA},
+			{machine.SystemB56KB(), &row.SystemB},
 		} {
-			counters, err := collectCounters(cfg.context(), app, p, sys.cfg, cfg.Collect)
+			blk, err := rank0Block(cfg.context(), app, p, sys.cfg, cfg.Collect, "flux_lookup_table")
 			if err != nil {
 				return nil, err
 			}
-			found := false
-			for _, bc := range counters {
-				if bc.Spec.Func == "flux_lookup_table" {
-					*sys.dest = 100 * bc.Counters.CumulativeHitRates()[0]
-					found = true
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("expt: flux_lookup_table missing at %d cores on %s", p, sys.cfg.Name)
-			}
+			*sys.dest = 100 * blk.FV.HitRates[0]
 		}
 		rows = append(rows, row)
 	}
@@ -222,10 +252,14 @@ type Figure1Row struct {
 
 // Figure1 reproduces Figure 1: the MultiMAPS surface of the two-cache-level
 // Opteron — measured bandwidth as a function of the cache hit rates each
-// probe achieves.
-func Figure1() ([]Figure1Row, error) {
-	cfg := machine.Opteron2L()
-	prof, err := buildProfile(context.Background(), cfg)
+// probe achieves. A cancelled context fails it even when the profile is
+// already cached, since the profile is all it computes.
+func Figure1(cfg Config) ([]Figure1Row, error) {
+	ctx := cfg.context()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	prof, err := engine().Profile(ctx, machine.Opteron2L())
 	if err != nil {
 		return nil, err
 	}
@@ -275,20 +309,11 @@ func fitSeries(appName, blockFunc, element string, counts []int, cfg Config) (*F
 	}
 	fs := &FitSeries{App: appName, Block: blockFunc, Element: element, FitValues: map[string][]float64{}}
 	for _, p := range counts {
-		sig, err := collectSig(cfg.context(), app, p, target, cfg.Collect, []int{0})
+		blk, err := rank0Block(cfg.context(), app, p, target, cfg.Collect, blockFunc)
 		if err != nil {
 			return nil, err
 		}
-		var blk *trace.Block
-		for i := range sig.Traces[0].Blocks {
-			if sig.Traces[0].Blocks[i].Func == blockFunc {
-				blk = &sig.Traces[0].Blocks[i]
-			}
-		}
-		if blk == nil {
-			return nil, fmt.Errorf("expt: block %q missing at %d cores", blockFunc, p)
-		}
-		vals, err := blk.FV.Values(sig.Traces[0].Levels)
+		vals, err := blk.FV.Values(len(target.Caches))
 		if err != nil {
 			return nil, err
 		}
@@ -346,13 +371,12 @@ func Figure3(cfg Config) ([]Figure3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	target := TargetMachine()
-	spec := PaperSpecs()[0]
-	inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, cfg.Collect)
+	ctx, target, spec := cfg.context(), TargetMachine(), PaperSpecs()[0]
+	inputs, err := engine().CollectInputs(ctx, app, spec.InputCounts, target, cfg.Collect)
 	if err != nil {
 		return nil, err
 	}
-	res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+	res, err := engine().Extrapolate(ctx, inputs, spec.TargetCount, extrap.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +384,7 @@ func Figure3(cfg Config) ([]Figure3Row, error) {
 	fits := res.FitsFor(blockID)
 	names := trace.ElementNames(len(target.Caches))
 	var rows []Figure3Row
-	for _, name := range names {
+	for i, name := range names {
 		f, ok := fits[name]
 		if !ok {
 			return nil, fmt.Errorf("expt: no fit for element %s", name)
@@ -372,11 +396,7 @@ func Figure3(cfg Config) ([]Figure3Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			for i, n := range names {
-				if n == name {
-					series = append(series, vals[i])
-				}
-			}
+			series = append(series, vals[i])
 		}
 		rows = append(rows, Figure3Row{
 			Element:      name,
@@ -405,48 +425,38 @@ type InfluentialErrorResult struct {
 // extrapolated element of every influential block (>0.1 % of memory
 // operations) has an absolute relative error below 20 %.
 func InfluentialElementError(cfg Config) ([]InfluentialErrorResult, error) {
-	target := TargetMachine()
+	ctx, target := cfg.context(), TargetMachine()
 	var out []InfluentialErrorResult
 	for _, spec := range PaperSpecs() {
 		app, err := synthapp.ByName(spec.App)
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, cfg.Collect)
+		inputs, err := engine().CollectInputs(ctx, app, spec.InputCounts, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
-		res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+		res, err := engine().Extrapolate(ctx, inputs, spec.TargetCount, extrap.Options{})
 		if err != nil {
 			return nil, err
 		}
-		truth, err := collectSig(cfg.context(), app, spec.TargetCount, target, cfg.Collect, []int{0})
+		truth, err := engine().CollectSignature(ctx, app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
-		errs, err := extrap.Compare(&res.Signature.Traces[0], &truth.Traces[0])
+		in, err := compareTruth(res.Signature, truth)
 		if err != nil {
 			return nil, err
 		}
-		infl := extrap.InfluentialErrors(errs)
-		r := InfluentialErrorResult{
-			App:         spec.App,
-			TargetCount: spec.TargetCount,
-			NumElements: len(errs),
-			NumInfluent: len(infl),
-		}
-		var sum float64
-		for _, e := range infl {
-			sum += e.AbsRelErr
-			if e.AbsRelErr > r.MaxError {
-				r.MaxError = e.AbsRelErr
-				r.WorstElement = e.Func + "/" + e.Element
-			}
-		}
-		if len(infl) > 0 {
-			r.MeanError = sum / float64(len(infl))
-		}
-		out = append(out, r)
+		out = append(out, InfluentialErrorResult{
+			App:          spec.App,
+			TargetCount:  spec.TargetCount,
+			MaxError:     in.max,
+			MeanError:    in.mean,
+			NumElements:  in.elements,
+			NumInfluent:  in.influential,
+			WorstElement: in.worst,
+		})
 	}
 	return out, nil
 }

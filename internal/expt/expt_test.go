@@ -9,7 +9,7 @@ import (
 
 // quickCfg trades a little steady-state fidelity for test speed; shape
 // assertions below are tolerant of the reduced sampling.
-var quickCfg = Config{Collect: pebil.CollectorConfig{SampleRefs: 100_000, MaxWarmRefs: 800_000}}
+var quickCfg = Config{Collect: pebil.CollectorConfig{Sampling: pebil.FixedSampling(100_000, 800_000)}}
 
 func TestPaperSpecs(t *testing.T) {
 	specs := PaperSpecs()
@@ -45,6 +45,7 @@ func TestTable1ShapeCriteria(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
+	checkGolden(t, "Table1", rows)
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows, want 4", len(rows))
 	}
@@ -77,10 +78,11 @@ func TestTable2ShapeCriteria(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale experiment in -short mode")
 	}
-	rows, err := Table2(Config{Collect: pebil.CollectorConfig{SampleRefs: 300_000, MaxWarmRefs: 2_000_000}})
+	rows, err := Table2(Config{Collect: pebil.CollectorConfig{Sampling: pebil.FixedSampling(300_000, 2_000_000)}})
 	if err != nil {
 		t.Fatalf("Table2: %v", err)
 	}
+	checkGolden(t, "Table2", rows)
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -111,6 +113,7 @@ func TestTable3ShapeCriteria(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Table3: %v", err)
 	}
+	checkGolden(t, "Table3", rows)
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -128,10 +131,11 @@ func TestTable3ShapeCriteria(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	rows, err := Figure1()
+	rows, err := Figure1(quickCfg)
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
+	checkGolden(t, "Figure1", rows)
 	if len(rows) < 20 {
 		t.Fatalf("only %d surface points", len(rows))
 	}
@@ -164,6 +168,7 @@ func TestFigure4SelectsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure4: %v", err)
 	}
+	checkGolden(t, "Figure4", fs)
 	if fs.Selected != "linear" {
 		t.Errorf("selected %s, want linear", fs.Selected)
 	}
@@ -185,6 +190,7 @@ func TestFigure5SelectsLogarithmic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure5: %v", err)
 	}
+	checkGolden(t, "Figure5", fs)
 	if fs.Selected != "logarithmic" {
 		t.Errorf("selected %s, want logarithmic", fs.Selected)
 	}
@@ -198,6 +204,7 @@ func TestFigure3CoversAllElements(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure3: %v", err)
 	}
+	checkGolden(t, "Figure3", rows)
 	if len(rows) != 14 { // 11 scalars + 3 hit rates on the 3-level target
 		t.Fatalf("got %d element rows", len(rows))
 	}
@@ -219,6 +226,7 @@ func TestInfluentialElementErrorClaim(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InfluentialElementError: %v", err)
 	}
+	checkGolden(t, "InfluentialElementError", rows)
 	for _, r := range rows {
 		if r.MaxError >= 0.20 {
 			t.Errorf("%s: max influential error %.1f%% breaks the paper's <20%% claim (worst %s)",

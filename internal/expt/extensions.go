@@ -2,14 +2,12 @@ package expt
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"tracex"
 	"tracex/internal/commx"
 	"tracex/internal/extrap"
 	"tracex/internal/machine"
-	"tracex/internal/memsim"
 	"tracex/internal/psins"
 	"tracex/internal/synthapp"
 )
@@ -32,12 +30,7 @@ type WeakScalingRow struct {
 // scaling most per-rank elements are constant, so the methodology should do
 // at least as well as under strong scaling.
 func WeakScaling(cfg Config) ([]WeakScalingRow, error) {
-	target := TargetMachine()
-	prof, err := buildProfile(cfg.context(), target)
-	if err != nil {
-		return nil, err
-	}
-	inputCounts := []int{64, 128, 256}
+	ctx, target := cfg.context(), TargetMachine()
 	const targetCount = 1024
 	var rows []WeakScalingRow
 	for _, tc := range []struct {
@@ -51,44 +44,29 @@ func WeakScaling(cfg Config) ([]WeakScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := collectInputs(cfg.context(), app, inputCounts, target, cfg.Collect)
+		res, err := engine().Study(ctx, tracex.StudyRequest{
+			App: app, Machine: target, InputCounts: []int{64, 128, 256},
+			TargetCores: targetCount, Collect: cfg.Collect, WithTruth: true,
+		})
 		if err != nil {
 			return nil, err
 		}
-		res, err := tracex.Extrapolate(inputs, targetCount, extrap.Options{})
+		t := res.Targets[0]
+		in, err := compareTruth(t.Extrapolation.Signature, t.Truth)
 		if err != nil {
 			return nil, err
 		}
-		truth, err := collectSig(cfg.context(), app, targetCount, target, cfg.Collect, []int{0})
+		measured, err := engine().Measure(ctx, app, targetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
-		errs, err := extrap.Compare(&res.Signature.Traces[0], &truth.Traces[0])
-		if err != nil {
-			return nil, err
-		}
-		infl := extrap.InfluentialErrors(errs)
-		row := WeakScalingRow{App: tc.app, Regime: tc.regime}
-		var sum float64
-		for _, e := range infl {
-			sum += e.AbsRelErr
-			if e.AbsRelErr > row.MaxError {
-				row.MaxError = e.AbsRelErr
-			}
-		}
-		if len(infl) > 0 {
-			row.MeanErr = sum / float64(len(infl))
-		}
-		pred, err := predictSig(cfg.context(), res.Signature, prof, app)
-		if err != nil {
-			return nil, err
-		}
-		measured, err := tracex.Measure(app, targetCount, target, cfg.Collect)
-		if err != nil {
-			return nil, err
-		}
-		row.PredErrPct = 100 * math.Abs(pred.Runtime-measured.Runtime) / measured.Runtime
-		rows = append(rows, row)
+		rows = append(rows, WeakScalingRow{
+			App:        tc.app,
+			Regime:     tc.regime,
+			MaxError:   in.max,
+			MeanErr:    in.mean,
+			PredErrPct: pctErr(t.Extrapolated.Runtime, measured.Runtime),
+		})
 	}
 	return rows, nil
 }
@@ -111,6 +89,7 @@ type CrossArchRow struct {
 // well enough to rank them correctly. Both headline applications are
 // evaluated on the Kraken and Blue Waters models at a moderate scale.
 func CrossArch(cfg Config) ([]CrossArchRow, error) {
+	ctx := cfg.context()
 	machines := []machine.Config{machine.Kraken(), machine.BlueWatersP1(), machine.SandyBridge()}
 	var rows []CrossArchRow
 	for _, spec := range PaperSpecs() {
@@ -120,19 +99,19 @@ func CrossArch(cfg Config) ([]CrossArchRow, error) {
 		}
 		p := spec.InputCounts[len(spec.InputCounts)-1] // largest traced count
 		for _, sys := range machines {
-			prof, err := buildProfile(cfg.context(), sys)
+			prof, err := engine().Profile(ctx, sys)
 			if err != nil {
 				return nil, err
 			}
-			sig, err := collectSig(cfg.context(), app, p, sys, cfg.Collect, nil)
+			sig, err := engine().CollectSignature(ctx, app, p, sys, cfg.Collect)
 			if err != nil {
 				return nil, err
 			}
-			pred, err := predictSig(cfg.context(), sig, prof, app)
+			pred, err := engine().Predict(ctx, tracex.PredictRequest{Signature: sig, Profile: prof, App: app})
 			if err != nil {
 				return nil, err
 			}
-			measured, err := tracex.Measure(app, p, sys, cfg.Collect)
+			measured, err := engine().Measure(ctx, app, p, sys, cfg.Collect)
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +121,7 @@ func CrossArch(cfg Config) ([]CrossArchRow, error) {
 				CoreCount: p,
 				Predicted: pred.Runtime,
 				Measured:  measured.Runtime,
-				PctError:  100 * math.Abs(pred.Runtime-measured.Runtime) / measured.Runtime,
+				PctError:  pctErr(pred.Runtime, measured.Runtime),
 			})
 		}
 	}
@@ -168,41 +147,30 @@ type ScalingCurveRow struct {
 // efficiency collapses, checking each point against the detailed
 // simulation.
 func ScalingCurve(cfg Config) ([]ScalingCurveRow, error) {
-	target := TargetMachine()
-	prof, err := buildProfile(cfg.context(), target)
-	if err != nil {
-		return nil, err
-	}
 	app, err := synthapp.ByName("uh3d")
 	if err != nil {
 		return nil, err
 	}
-	inputCounts := []int{1024, 2048, 4096}
-	inputs, err := collectInputs(cfg.context(), app, inputCounts, target, cfg.Collect)
+	ctx, target := cfg.context(), TargetMachine()
+	res, err := engine().Study(ctx, tracex.StudyRequest{
+		App: app, Machine: target, InputCounts: []int{1024, 2048, 4096},
+		TargetCounts: []int{5120, 6144, 8192, 12288, 16384}, Collect: cfg.Collect,
+	})
 	if err != nil {
 		return nil, err
 	}
-	targets := []int{5120, 6144, 8192, 12288, 16384}
 	var rows []ScalingCurveRow
-	for _, p := range targets {
-		res, err := tracex.Extrapolate(inputs, p, extrap.Options{})
-		if err != nil {
-			return nil, err
-		}
-		pred, err := predictSig(cfg.context(), res.Signature, prof, app)
-		if err != nil {
-			return nil, err
-		}
-		measured, err := tracex.Measure(app, p, target, cfg.Collect)
+	for _, t := range res.Targets {
+		measured, err := engine().Measure(ctx, app, t.TargetCores, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, ScalingCurveRow{
 			App:       app.Name(),
-			CoreCount: p,
-			Predicted: pred.Runtime,
+			CoreCount: t.TargetCores,
+			Predicted: t.Extrapolated.Runtime,
 			Measured:  measured.Runtime,
-			PctError:  100 * math.Abs(pred.Runtime-measured.Runtime) / measured.Runtime,
+			PctError:  pctErr(t.Extrapolated.Runtime, measured.Runtime),
 		})
 	}
 	// Efficiency relative to the first curve point.
@@ -233,8 +201,8 @@ type EnergyRow struct {
 // frequency for the energy- and EDP-optimal operating points — the energy
 // use case the paper's feature-vector design anticipates.
 func EnergyDVFS(cfg Config) ([]EnergyRow, error) {
-	target := TargetMachine()
-	prof, err := buildProfile(cfg.context(), target)
+	ctx, target := cfg.context(), TargetMachine()
+	prof, err := engine().Profile(ctx, target)
 	if err != nil {
 		return nil, err
 	}
@@ -246,11 +214,11 @@ func EnergyDVFS(cfg Config) ([]EnergyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, cfg.Collect)
+		inputs, err := engine().CollectInputs(ctx, app, spec.InputCounts, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
-		res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+		res, err := engine().Extrapolate(ctx, inputs, spec.TargetCount, extrap.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -315,23 +283,14 @@ func PrefetchExploration(cfg Config) ([]PrefetchRow, error) {
 			{base, &row.Baseline},
 			{pf, &row.Prefetched},
 		} {
-			prof, err := buildProfile(cfg.context(), tc.sys)
+			res, err := engine().Study(cfg.context(), tracex.StudyRequest{
+				App: app, Machine: tc.sys, InputCounts: spec.InputCounts,
+				TargetCores: spec.TargetCount, Collect: cfg.Collect,
+			})
 			if err != nil {
 				return nil, err
 			}
-			inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, tc.sys, cfg.Collect)
-			if err != nil {
-				return nil, err
-			}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
-			if err != nil {
-				return nil, err
-			}
-			pred, err := predictSig(cfg.context(), res.Signature, prof, app)
-			if err != nil {
-				return nil, err
-			}
-			*tc.dest = pred.Runtime
+			*tc.dest = res.Targets[0].Extrapolated.Runtime
 		}
 		row.SpeedupPct = 100 * (row.Baseline - row.Prefetched) / row.Baseline
 		rows = append(rows, row)
@@ -368,7 +327,7 @@ func (r CommExtrapRow) SortedFieldNames() []string {
 // compare it — structurally and under replay — against the actual
 // target-count communication.
 func CommExtrap(cfg Config) ([]CommExtrapRow, error) {
-	target := TargetMachine()
+	ctx, target := cfg.context(), TargetMachine()
 	net, err := psins.NewNetwork(target.Network)
 	if err != nil {
 		return nil, err
@@ -412,14 +371,14 @@ func CommExtrap(cfg Config) ([]CommExtrapRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expt: synthesizing %s comm: %w", spec.App, err)
 		}
-		synthRes, err := psins.Replay(synthProg, net, zeroCost)
+		synthRes, err := psins.ReplayTraced(ctx, synthProg, net, zeroCost, nil)
 		if err != nil {
 			return nil, err
 		}
 		row.SynthCommSeconds = synthRes.Runtime
 		// Replay the actual program with zeroed compute for a like-for-like
 		// communication time.
-		actualRes, err := psins.Replay(actualProg, net, zeroCost)
+		actualRes, err := psins.ReplayTraced(ctx, actualProg, net, zeroCost, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -446,10 +405,6 @@ type CalibrationRow struct {
 // and must recover it.
 func CalibrationDemo(cfg Config) ([]CalibrationRow, error) {
 	truth := TargetMachine()
-	model, err := memsim.New(truth)
-	if err != nil {
-		return nil, err
-	}
 	var rows []CalibrationRow
 	for _, spec := range PaperSpecs() {
 		app, err := synthapp.ByName(spec.App)
@@ -459,20 +414,11 @@ func CalibrationDemo(cfg Config) ([]CalibrationRow, error) {
 		// Observed block timings on the true machine at every input count.
 		var obs []tracex.Observation
 		for _, p := range spec.InputCounts {
-			counters, err := collectCounters(cfg.context(), app, p, truth, cfg.Collect)
+			o, err := engine().ObserveBlocks(cfg.context(), app, p, truth, cfg.Collect)
 			if err != nil {
 				return nil, err
 			}
-			for _, bc := range counters {
-				cy, err := model.Cycles(bc.Counters)
-				if err != nil {
-					return nil, err
-				}
-				obs = append(obs, tracex.Observation{
-					Counters: bc.Counters,
-					Seconds:  model.Seconds(cy),
-				})
-			}
+			obs = append(obs, o...)
 		}
 		distorted := truth
 		distorted.MLP = 2 // wrong prior

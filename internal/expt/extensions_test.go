@@ -10,6 +10,7 @@ func TestWeakScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WeakScaling: %v", err)
 	}
+	checkGolden(t, "WeakScaling", rows)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -33,6 +34,7 @@ func TestCommExtrapShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CommExtrap: %v", err)
 	}
+	checkGolden(t, "CommExtrap", rows)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -61,6 +63,7 @@ func TestCrossArchShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CrossArch: %v", err)
 	}
+	checkGolden(t, "CrossArch", rows)
 	if len(rows) != 6 { // two apps × three machines
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -94,6 +97,7 @@ func TestAblationDistanceGrowsWithFactor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AblationDistance: %v", err)
 	}
+	checkGolden(t, "AblationDistance", rows)
 	if len(rows) < 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -120,6 +124,7 @@ func TestPrefetchExplorationShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PrefetchExploration: %v", err)
 	}
+	checkGolden(t, "PrefetchExploration", rows)
 	var specfem, uh3d PrefetchRow
 	for _, r := range rows {
 		switch r.App {
@@ -148,6 +153,7 @@ func TestScalingCurveShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ScalingCurve: %v", err)
 	}
+	checkGolden(t, "ScalingCurve", rows)
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -172,6 +178,7 @@ func TestAblationCollectionModeShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AblationCollectionMode: %v", err)
 	}
+	checkGolden(t, "AblationCollectionMode", rows)
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -201,6 +208,7 @@ func TestCalibrationDemoRecoversTruth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CalibrationDemo: %v", err)
 	}
+	checkGolden(t, "CalibrationDemo", rows)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -226,6 +234,7 @@ func TestEnergyDVFSShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EnergyDVFS: %v", err)
 	}
+	checkGolden(t, "EnergyDVFS", rows)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}

@@ -14,22 +14,32 @@ import (
 	"tracex/internal/trace"
 )
 
+// parsePolicyCases are well-formed policy strings and what they parse to;
+// badPolicies must all be rejected. FuzzParseSamplingPolicy seeds from both.
+var parsePolicyCases = []struct {
+	in   string
+	want SamplingPolicy
+}{
+	{"", SamplingPolicy{}},
+	{"fixed", SamplingPolicy{Mode: SamplingModeFixed}},
+	{"fixed:400000", SamplingPolicy{Mode: SamplingModeFixed, SampleRefs: 400_000}},
+	{"fixed:100000,warm=50000", SamplingPolicy{Mode: SamplingModeFixed, SampleRefs: 100_000, MaxWarmRefs: 50_000}},
+	{"adaptive", SamplingPolicy{Mode: SamplingModeAdaptive, ClusterBlocks: true}},
+	{"adaptive:0.1", SamplingPolicy{Mode: SamplingModeAdaptive, TargetRelErr: 0.1, ClusterBlocks: true}},
+	{"adaptive:0.05,pilot=5000,min=5000,max=50000,cluster=off",
+		SamplingPolicy{Mode: SamplingModeAdaptive, TargetRelErr: 0.05, PilotRefs: 5000, MinRefs: 5000, MaxRefs: 50_000}},
+	{"adaptive,cluster=on", SamplingPolicy{Mode: SamplingModeAdaptive, ClusterBlocks: true}},
+}
+
+var badPolicies = []string{
+	"bogus", "fixed:0", "fixed:-5", "fixed:x", "fixed,warm", "fixed,warm=0",
+	"fixed,pilot=5", "adaptive:0", "adaptive:2", "adaptive:x", "adaptive:NaN",
+	"adaptive,cluster=maybe", "adaptive,warm=5",
+	"adaptive,min=100000,max=50000", "adaptive,pilot=60000,max=50000",
+}
+
 func TestParseSamplingPolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want SamplingPolicy
-	}{
-		{"", SamplingPolicy{}},
-		{"fixed", SamplingPolicy{Mode: SamplingModeFixed}},
-		{"fixed:400000", SamplingPolicy{Mode: SamplingModeFixed, SampleRefs: 400_000}},
-		{"fixed:100000,warm=50000", SamplingPolicy{Mode: SamplingModeFixed, SampleRefs: 100_000, MaxWarmRefs: 50_000}},
-		{"adaptive", SamplingPolicy{Mode: SamplingModeAdaptive, ClusterBlocks: true}},
-		{"adaptive:0.1", SamplingPolicy{Mode: SamplingModeAdaptive, TargetRelErr: 0.1, ClusterBlocks: true}},
-		{"adaptive:0.05,pilot=5000,min=5000,max=50000,cluster=off",
-			SamplingPolicy{Mode: SamplingModeAdaptive, TargetRelErr: 0.05, PilotRefs: 5000, MinRefs: 5000, MaxRefs: 50_000}},
-		{"adaptive,cluster=on", SamplingPolicy{Mode: SamplingModeAdaptive, ClusterBlocks: true}},
-	}
-	for _, tc := range cases {
+	for _, tc := range parsePolicyCases {
 		got, err := ParseSamplingPolicy(tc.in)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", tc.in, err)
@@ -57,13 +67,7 @@ func TestParseSamplingPolicy(t *testing.T) {
 		}
 	}
 
-	bad := []string{
-		"bogus", "fixed:0", "fixed:-5", "fixed:x", "fixed,warm", "fixed,warm=0",
-		"fixed,pilot=5", "adaptive:0", "adaptive:2", "adaptive:x",
-		"adaptive,cluster=maybe", "adaptive,warm=5",
-		"adaptive,min=100000,max=50000", "adaptive,pilot=60000,max=50000",
-	}
-	for _, s := range bad {
+	for _, s := range badPolicies {
 		if _, err := ParseSamplingPolicy(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)
 		}
@@ -79,6 +83,7 @@ func TestSamplingPolicyValidate(t *testing.T) {
 		{Mode: SamplingModeAdaptive, SampleRefs: 1}, // fixed field in adaptive mode
 		{Mode: SamplingModeAdaptive, TargetRelErr: -0.1},
 		{Mode: SamplingModeAdaptive, TargetRelErr: 1.5},
+		{Mode: SamplingModeAdaptive, TargetRelErr: math.NaN()},
 		{Mode: SamplingModeAdaptive, MinRefs: 500_000},   // exceeds default MaxRefs
 		{Mode: SamplingModeAdaptive, PilotRefs: 500_000}, // exceeds default MaxRefs
 		{Mode: "stratified"},
@@ -111,7 +116,7 @@ func TestSamplingPolicyValidate(t *testing.T) {
 	if !errors.Is(err, cache.ErrModelUnsupported) {
 		t.Errorf("adaptive + analytical: got %v, want ErrModelUnsupported", err)
 	}
-	if _, err := DefaultCollector().CollectReuse(context.Background(), synthapp.UH3D(), 64,
+	if _, err := collectReuse(context.Background(), synthapp.UH3D(), 64,
 		CollectorConfig{Sampling: AdaptiveSampling(0)}); !errors.Is(err, cache.ErrModelUnsupported) {
 		t.Errorf("CollectReuse with adaptive policy: got %v, want ErrModelUnsupported", err)
 	}

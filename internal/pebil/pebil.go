@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tracex/internal/addrgen"
@@ -82,22 +81,6 @@ func (c *Collector) Workers() int { return c.arena.Workers() }
 // the worker goroutines. Collections submitted after Close fail with
 // ErrArenaClosed. Close is idempotent.
 func (c *Collector) Close() { c.arena.Close() }
-
-// defaultCollector is the process-wide pool used by callers without an
-// Engine (tools, experiments, calibration).
-var defaultCollector struct {
-	once sync.Once
-	c    *Collector
-}
-
-// DefaultCollector returns a lazily-created process-wide Collector with
-// default configuration. It is never closed.
-func DefaultCollector() *Collector {
-	defaultCollector.once.Do(func() {
-		defaultCollector.c, _ = NewCollector(0)
-	})
-	return defaultCollector.c
-}
 
 // resolve validates a per-call configuration and fills its defaults: a
 // zero cfg runs on every arena worker.

@@ -229,6 +229,9 @@ func TestRequestValidation(t *testing.T) {
 		{"malformed JSON", `{"app":`, 400, "bad_request"},
 		{"unknown field", `{"app":"stencil3d","coresx":64}`, 400, "bad_request"},
 		{"no cores", `{"app":"stencil3d","machine":"bluewaters"}`, 400, "bad_request"},
+		// A NaN target compares unequal to itself, so it could never hit or
+		// coalesce in the engine's memo; it is rejected up front.
+		{"NaN sampling target", `{"app":"stencil3d","cores":64,"machine":"bluewaters","sampling":"adaptive:NaN"}`, 400, "bad_request"},
 		{"unknown app", `{"app":"nosuch","cores":64,"machine":"bluewaters"}`, 404, "not_found"},
 		{"unknown machine", `{"app":"stencil3d","cores":64,"machine":"nosuch"}`, 404, "not_found"},
 	}
